@@ -37,7 +37,7 @@ func BenchmarkTableI_PaSE(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					if _, err := FindWithModel(m, Options{}); err != nil {
+					if _, err := solveModel(m, Options{}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -56,7 +56,7 @@ func BenchmarkTableI_BF(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					_, err = FindWithModel(m, Options{BreadthFirst: true})
+					_, err = solveModel(m, Options{BreadthFirst: true})
 					if errors.Is(err, ErrOOM) {
 						b.Skip("OOM (paper Table I reports the same)")
 					}
@@ -78,13 +78,10 @@ func BenchmarkTableI_MCMC(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				exp, err := ExpertStrategy(bm.Family, g, p)
-				if err != nil {
-					b.Fatal(err)
-				}
+				opts := Options{Method: "mcmc", MCMC: MCMCOptions{Seed: 1, MinIters: 25000}, MCMCInit: "expert:" + bm.Family}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := MCMCSearch(m, exp, MCMCOptions{Seed: 1, MinIters: 25000}); err != nil {
+					if _, err := solveModel(m, opts); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -103,7 +100,7 @@ func BenchmarkTableII(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := FindWithModel(m, Options{})
+				res, err := solveModel(m, Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -153,7 +150,7 @@ func BenchmarkSolveWorkers(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := FindWithModel(m, Options{Workers: workers}); err != nil {
+				if _, err := solveModel(m, Options{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -181,7 +178,7 @@ func BenchmarkFig6(b *testing.B) {
 						if err != nil {
 							b.Fatal(err)
 						}
-						res, err := FindWithModel(m, Options{})
+						res, err := solveModel(m, Options{})
 						if err != nil {
 							b.Fatal(err)
 						}

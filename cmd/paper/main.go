@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -95,6 +96,22 @@ func (o opts) emit(name string, tb *report.Table) error {
 	return tb.CSV(f)
 }
 
+// solveModel runs one solve method over a prebuilt model, so every method in
+// a row prices the same cost tables.
+func solveModel(m *pase.Model, o pase.Options) (*pase.Result, error) {
+	return pase.Solve(context.Background(), pase.SolveRequest{Model: m, Opts: o})
+}
+
+// mcmcOpts is the paper's FlexFlow protocol: the MCMC chain seeded with the
+// model family's expert strategy.
+func mcmcOpts(bm pase.Benchmark) pase.Options {
+	return pase.Options{
+		Method:   "mcmc",
+		MCMC:     pase.MCMCOptions{Seed: 1, MinIters: 25000},
+		MCMCInit: "expert:" + bm.Family,
+	}
+}
+
 // table1 measures strategy-search time for breadth-first ordering, the MCMC
 // (FlexFlow-substitute) search, and PaSE, per model and device count.
 func table1(o opts) error {
@@ -113,7 +130,7 @@ func table1(o opts) error {
 			// Breadth-first ordering (naive recurrence 2).
 			bfCell := ""
 			start := time.Now()
-			if _, err := pase.FindWithModel(m, pase.Options{BreadthFirst: true}); err != nil {
+			if _, err := solveModel(m, pase.Options{BreadthFirst: true}); err != nil {
 				if errors.Is(err, pase.ErrOOM) {
 					bfCell = "OOM"
 				} else {
@@ -124,11 +141,7 @@ func table1(o opts) error {
 			}
 
 			// MCMC seeded with the expert strategy (paper's protocol).
-			exp, err := pase.ExpertStrategy(bm.Family, g, p)
-			if err != nil {
-				return err
-			}
-			mc, err := pase.MCMCSearch(m, exp, pase.MCMCOptions{Seed: 1, MinIters: 25000})
+			mc, err := solveModel(m, mcmcOpts(bm))
 			if err != nil {
 				return err
 			}
@@ -139,7 +152,7 @@ func table1(o opts) error {
 			if err != nil {
 				return err
 			}
-			res, err := pase.FindWithModel(m2, pase.Options{})
+			res, err := solveModel(m2, pase.Options{})
 			if err != nil {
 				return err
 			}
@@ -160,7 +173,7 @@ func table2(o opts) error {
 		if err != nil {
 			return err
 		}
-		res, err := pase.FindWithModel(m, pase.Options{})
+		res, err := solveModel(m, pase.Options{})
 		if err != nil {
 			return err
 		}
@@ -253,19 +266,19 @@ func fig6(o opts) error {
 					return err
 				}
 				dp := pase.DataParallelStrategy(g, p)
-				exp, err := pase.ExpertStrategy(bm.Family, g, p)
+				exp, err := solveModel(m, pase.Options{Method: "expert:" + bm.Family})
 				if err != nil {
 					return err
 				}
-				mc, err := pase.MCMCSearch(m, exp, pase.MCMCOptions{Seed: 1, MinIters: 25000})
+				mc, err := solveModel(m, mcmcOpts(bm))
 				if err != nil {
 					return err
 				}
-				res, err := pase.FindWithModel(m, pase.Options{})
+				res, err := solveModel(m, pase.Options{})
 				if err != nil {
 					return err
 				}
-				se, err := pase.SimulatedSpeedup(g, exp, dp, spec, bm.Batch)
+				se, err := pase.SimulatedSpeedup(g, exp.Strategy, dp, spec, bm.Batch)
 				if err != nil {
 					return err
 				}

@@ -63,7 +63,6 @@ func main() {
 		width    = flag.Int("width", 0, "beam frontier width for -method beam (0 = unbounded: runs the exact DP)")
 		gap      = flag.Float64("gap", 0, "beam optimality-gap target: >0 refines until reached, 0 refines under -timeout, <0 single pass")
 		timeout  = flag.Duration("timeout", 0, "abort the solve after this long (0 = no deadline)")
-		compare  = flag.Bool("compare", false, "deprecated: use the compare subcommand (runs it after the solve)")
 		export   = flag.String("export", "", "write the strategy as JSON to this file")
 		priority = flag.Int("priority", 0, "admission priority (higher solves first when a planner gate is saturated)")
 	)
@@ -75,7 +74,7 @@ func main() {
 			err = runSpec(*specPath, *method, *width, *gap, *timeout, *export, *priority)
 		}
 	} else {
-		err = run(*model, *gpus, *mach, *method, *width, *gap, *timeout, *compare, *export, *priority)
+		err = run(*model, *gpus, *mach, *method, *width, *gap, *timeout, *export, *priority)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pase:", err)
@@ -104,7 +103,7 @@ func withDeadline(timeout time.Duration) (context.Context, context.CancelFunc) {
 	return context.WithCancel(context.Background())
 }
 
-func run(model string, gpus int, mach, method string, width int, gap float64, timeout time.Duration, compare bool, exportPath string, priority int) error {
+func run(model string, gpus int, mach, method string, width int, gap float64, timeout time.Duration, exportPath string, priority int) error {
 	bm, err := pase.BenchmarkByName(model)
 	if err != nil {
 		return err
@@ -119,8 +118,6 @@ func run(model string, gpus int, mach, method string, width int, gap float64, ti
 	ctx, cancel := withDeadline(timeout)
 	defer cancel()
 	g := bm.Build(bm.Batch)
-	// All solving goes through a planner: the compare table below reuses the
-	// solve's cached results and cost model instead of recomputing them.
 	pl := pase.NewPlanner(pase.PlannerConfig{})
 	res, err := pl.Solve(ctx, pase.SolveRequest{
 		G:    g,
@@ -131,15 +128,7 @@ func run(model string, gpus int, mach, method string, width int, gap float64, ti
 		return err
 	}
 
-	if err := reportSolve(pl, bm.Name, g, spec, bm.Batch, gpus, res, exportPath); err != nil {
-		return err
-	}
-
-	if !compare {
-		return nil
-	}
-	fmt.Println()
-	return renderCompare(ctx, pl, bm, g, spec, gpus, width)
+	return reportSolve(pl, bm.Name, g, spec, bm.Batch, gpus, res, exportPath)
 }
 
 // reportSolve prints the human-readable solve report — summary, Table II
@@ -169,9 +158,9 @@ func reportSolve(pl *pase.Planner, name string, g *pase.Graph, spec pase.Machine
 			res.VertexClasses, g.Len(), res.EdgeClasses,
 			float64(res.TableBytes)/1e6, float64(res.SharedTableBytes)/1e6)
 	}
-	if res.ClassStoreHits > 0 || res.DeltaResolve {
-		fmt.Printf("sharing: %d class-store hits (%.1f MB aliased), delta re-solve %v\n",
-			res.ClassStoreHits, float64(res.ClassStoreBytes)/1e6, res.DeltaResolve)
+	if res.ClassStoreHits > 0 {
+		fmt.Printf("sharing: %d class-store hits (%.1f MB aliased)\n",
+			res.ClassStoreHits, float64(res.ClassStoreBytes)/1e6)
 	}
 	fmt.Println()
 
@@ -218,7 +207,6 @@ func reportSolve(pl *pase.Planner, name string, g *pase.Graph, spec pase.Machine
 		doc.SharedTableBytes = res.SharedTableBytes
 		doc.ClassStoreHits = res.ClassStoreHits
 		doc.ClassStoreBytes = res.ClassStoreBytes
-		doc.DeltaResolve = res.DeltaResolve
 		doc.Gap = res.Gap
 		doc.Exact = res.Exact
 		doc.BeamWidth = res.BeamWidth

@@ -205,13 +205,12 @@ type solveResponse struct {
 	SharedTableBytes int64 `json:"shared_table_bytes"`
 	// ClassStoreHits / ClassStoreBytes report what this solve's model build
 	// resolved from the daemon's cross-request class store instead of
-	// rebuilding; DeltaResolve reports the solve was served incrementally
-	// from a retained DP snapshot (only the changed tables re-filled).
+	// rebuilding.
 	ClassStoreHits  int64 `json:"class_store_hits"`
 	ClassStoreBytes int64 `json:"class_store_bytes"`
-	DeltaResolve    bool  `json:"delta_resolve"`
-	// Gap / Exact / BeamWidth report the anytime-beam contract: the true
-	// optimum lies in [cost_seconds/(1+gap), cost_seconds]; exact marks
+	// Gap / Exact / BeamWidth report the quality contract: the true
+	// optimum lies in [cost_seconds/(1+gap), cost_seconds] (the beam's
+	// frontier gap compounded with any prune_epsilon slack); exact marks
 	// proven optimality; beam_width is the frontier width a beam solve
 	// resolved to (0 for other methods).
 	Gap       float64 `json:"gap"`
@@ -591,7 +590,6 @@ func toResponse(req pase.SolveRequest, model string, res *pase.Result) (*solveRe
 	doc.SharedTableBytes = res.SharedTableBytes
 	doc.ClassStoreHits = res.ClassStoreHits
 	doc.ClassStoreBytes = res.ClassStoreBytes
-	doc.DeltaResolve = res.DeltaResolve
 	doc.Gap = res.Gap
 	doc.Exact = res.Exact
 	doc.BeamWidth = res.BeamWidth
@@ -615,7 +613,6 @@ func toResponse(req pase.SolveRequest, model string, res *pase.Result) (*solveRe
 		SharedTableBytes: res.SharedTableBytes,
 		ClassStoreHits:   res.ClassStoreHits,
 		ClassStoreBytes:  res.ClassStoreBytes,
-		DeltaResolve:     res.DeltaResolve,
 		Gap:              res.Gap,
 		Exact:            res.Exact,
 		BeamWidth:        res.BeamWidth,
@@ -1020,8 +1017,6 @@ func main() {
 		pruneEps     = flag.Float64("prune-epsilon", 0, "default epsilon-dominance config pruning for requests that leave it unset (0 = exact dedup only)")
 		storeBytes   = flag.Int64("class-store-bytes", 0, "cross-request class store budget in bytes (0 = default 256 MiB)")
 		noStore      = flag.Bool("no-class-store", false, "disable cross-request class-table sharing (every model build constructs its own tables)")
-		deltaCache   = flag.Int("delta-cache", 0, "retained DP snapshots for incremental re-solve (0 = default 2, negative disables)")
-		deltaThresh  = flag.Float64("delta-threshold", 0, "largest dirty-entries fraction served incrementally (0 = default 0.3, negative disables)")
 		beamWidth    = flag.Int("default-beam-width", 32, "beam frontier width for method=beam requests that leave beam_width unset (0 = unbounded: such requests run the exact DP)")
 		solveTimeout = flag.Duration("solve-timeout", 2*time.Minute, "per-request solve deadline; the solve is aborted mid-DP when it expires (0 = no deadline)")
 		drainTimeout = flag.Duration("drain-timeout", 15*time.Second, "how long SIGTERM waits for in-flight requests before force-closing connections (which cancels their solves)")
@@ -1087,8 +1082,6 @@ func main() {
 		DefaultPruneEpsilon: *pruneEps,
 		ClassStoreBytes:     *storeBytes,
 		DisableClassStore:   *noStore,
-		DeltaCacheSize:      *deltaCache,
-		DeltaThreshold:      *deltaThresh,
 		DefaultBeamWidth:    *beamWidth,
 		MaxInFlight:         *maxInflight,
 		MaxQueue:            *maxQueue,

@@ -479,3 +479,37 @@ func TestSolveTimeoutMapsToGatewayTimeout(t *testing.T) {
 		t.Fatalf("code %v, want %q", out["code"], "timeout")
 	}
 }
+
+// A composite device count is valid input: the solve must succeed and its
+// strategy must map onto exactly that many devices (every configuration's
+// degree divides p), never a 500.
+func TestSolveCompositeDeviceCount(t *testing.T) {
+	ts := newTestServer(t)
+	resp, err := http.Post(ts.URL+"/v1/solve", "application/json",
+		strings.NewReader(`{"model":"alexnet","gpus":6,"machine":"1080ti"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out struct {
+		Strategy json.RawMessage `json:"strategy"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("gpus=6 solve status %d", resp.StatusCode)
+	}
+	bm, err := pase.BenchmarkByName("alexnet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := bm.Build(bm.Batch)
+	s, err := pase.ImportStrategy(bytes.NewReader(out.Strategy), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Validate(g, 6); err != nil {
+		t.Fatalf("gpus=6 strategy does not validate: %v", err)
+	}
+}

@@ -41,7 +41,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("pase_restored_results_total", "Result-cache entries restored from a snapshot.", st.RestoredResults)
 	counter("pase_beam_solves_total", "Underlying beam solves completed.", st.BeamSolves)
 	counter("pase_beam_fallbacks_total", "Unbounded beam requests routed to the exact DP.", st.BeamFallbacks)
-	counter("pase_delta_resolves_total", "dp solves served by incremental re-solve.", st.DeltaResolves)
 	gauge("pase_queue_depth", "Requests currently waiting for a solve slot.", float64(st.QueueDepth))
 	gauge("pase_in_flight", "Underlying solves currently running.", float64(st.InFlight))
 	gauge("pase_cached_models", "Cost models resident in the LRU.", float64(models))

@@ -4,8 +4,7 @@
 // eight independent solves fan out concurrently through a planner's batch
 // API instead of running one by one, and a pair of "what-if" single-layer
 // edits afterwards shows the planner's cross-request sharing: the edited
-// graphs' unchanged classes resolve from the class store, and a small
-// enough edit is served by incremental delta re-solve.
+// graphs' unchanged classes resolve from the class store.
 //
 //	go run ./examples/clustersweep            # Transformer by default
 //	go run ./examples/clustersweep -model rnnlm
@@ -108,14 +107,11 @@ func main() {
 	// What-if re-solves: two successive single-layer FLOPs edits at the
 	// largest sweep point. Each edited graph is a DISTINCT graph, yet its
 	// unchanged classes all resolve from the planner's class store
-	// (cross-request sharing), and the second edit — a small delta against
-	// the first — re-fills only the DP tables it dirtied.
+	// (cross-request sharing).
 	pBig := ps[len(ps)-1]
 	fmt.Println()
 	for i, factor := range []float64{1.05, 1.10} {
 		wg := bm.Build(bm.Batch)
-		// An early node keeps the delta small: dirty DP tables cascade to
-		// their reader positions, which sit before the node in the ordering.
 		wg.Nodes[len(wg.Nodes)/8].FlopsPerPoint *= factor
 		res, err := pl.Solve(context.Background(), pase.SolveRequest{
 			G:    wg,
@@ -125,8 +121,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("what-if edit %d (flops ×%.2f at p=%d): cost %.4g s/step, %d class-store hits (%.1f MB aliased), delta re-solve %v\n",
-			i+1, factor, pBig, res.Cost, res.ClassStoreHits, float64(res.ClassStoreBytes)/1e6, res.DeltaResolve)
+		fmt.Printf("what-if edit %d (flops ×%.2f at p=%d): cost %.4g s/step, %d class-store hits (%.1f MB aliased)\n",
+			i+1, factor, pBig, res.Cost, res.ClassStoreHits, float64(res.ClassStoreBytes)/1e6)
 	}
 
 	st := pl.Stats()

@@ -13,7 +13,7 @@ func TestMemoryFootprintAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Find(g, GTX1080Ti(p), Options{})
+	res, err := solve(g, GTX1080Ti(p), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestMemoryFootprintAPI(t *testing.T) {
 
 func TestAssignDevicesAPI(t *testing.T) {
 	g := AlexNet(128)
-	res, err := Find(g, GTX1080Ti(8), Options{})
+	res, err := solve(g, GTX1080Ti(8), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestAssignDevicesAPI(t *testing.T) {
 
 func TestExportImportRoundTripAPI(t *testing.T) {
 	g := AlexNet(128)
-	res, err := Find(g, GTX1080Ti(8), Options{})
+	res, err := solve(g, GTX1080Ti(8), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestHeterogeneousMachineAPI(t *testing.T) {
 	}
 	// The combined cluster must be solvable like any other.
 	g := AlexNet(128)
-	res, err := Find(g, h, Options{})
+	res, err := solve(g, h, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestBuilderPublicAPI(t *testing.T) {
 	if err := b.G.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Find(b.G, UniformMachine(4, 1e12, 1e10), Options{})
+	res, err := solve(b.G, UniformMachine(4, 1e12, 1e10), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestPaperCostRanksConsistently(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := FindWithModel(m, Options{})
+		res, err := solveModel(m, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

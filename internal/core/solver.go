@@ -213,13 +213,6 @@ type Stats struct {
 	// a per-occurrence build.
 	TableBytes       int64
 	SharedTableBytes int64
-	// Incremental re-solve accounting (Resolve only): DirtyPositions is how
-	// many DP tables were actually re-filled, ReusedEntries how many table
-	// entries were served unchanged from the snapshot. States above counts
-	// only the re-filled work, so States/ (a full solve's States) is the
-	// delta's cost fraction.
-	DirtyPositions int
-	ReusedEntries  int64
 }
 
 // Result is a solved strategy.
@@ -273,80 +266,6 @@ type subsetRef struct {
 	phiStride []int64
 }
 
-// Snapshot retains a completed solve's full DP state — every position's cost
-// and choice table — so a near-duplicate later request can re-fill only the
-// tables its delta touches (Resolve). Retained tables are plainly allocated
-// (never arena-recycled) and immutable once published: a Resolve's new
-// snapshot aliases the clean tables of the old one, so snapshots are cheap
-// to chain and safe to share. The retained memory is the solve's
-// TotalEntries — it is NOT counted against Options.MaxTableEntries, which
-// keeps ErrOOM behavior identical to a non-retaining solve.
-type Snapshot struct {
-	sq      *seq.Sequence
-	subsets [][][]int
-	tbl     [][]float64
-	choice  [][]int32
-	entries int64
-}
-
-// Entries returns the total retained table entries (cost + choice pairs).
-func (s *Snapshot) Entries() int64 { return s.entries }
-
-// Seq returns the vertex ordering the snapshot's solve ran over.
-func (s *Snapshot) Seq() *seq.Sequence { return s.sq }
-
-// posDirty propagates a per-vertex dirty set to DP positions: position i
-// must be re-filled when its own vertex changed, any member of D(i) changed
-// (the fill reads TL/TX tables and strides keyed by those vertices), or any
-// connected subset it folds was itself re-filled (its input table changed).
-// The forward pass is well-founded because a position's subset children all
-// precede it in the ordering.
-func (s *Snapshot) posDirty(dirtyV []bool) []bool {
-	sq := s.sq
-	n := len(sq.Order)
-	dirty := make([]bool, n)
-	for i := 0; i < n; i++ {
-		d := dirtyV[sq.Order[i]]
-		if !d {
-			for _, dep := range sq.Dep[i] {
-				if dirtyV[dep] {
-					d = true
-					break
-				}
-			}
-		}
-		if !d {
-			for _, sub := range s.subsets[i] {
-				if dirty[sq.Pos[sub[len(sub)-1]]] {
-					d = true
-					break
-				}
-			}
-		}
-		dirty[i] = d
-	}
-	return dirty
-}
-
-// EstimateDelta sizes a prospective Resolve against model m: the table
-// entries the dirty closure of dirtyV would re-fill versus the total. The
-// ratio is the planner's fallback threshold input — a cheap O(Σ|D(i)|)
-// computation, no tables touched.
-func (s *Snapshot) EstimateDelta(m *cost.Model, dirtyV []bool) (dirty, total int64) {
-	pd := s.posDirty(dirtyV)
-	for i := range s.sq.Order {
-		sz := int64(1)
-		for _, d := range s.sq.Dep[i] {
-			sz *= int64(m.K(d))
-		}
-		total += sz
-		if pd[i] {
-			dirty += sz
-		}
-	}
-	return dirty, total
-}
-
 // Solve runs the dependent-set DP over an arbitrary ordering. The ordering's
 // dependent sets must be the definitional D(i) (seq.Generate and seq.BFS /
 // seq.FromOrder both guarantee this).
@@ -357,56 +276,13 @@ func (s *Snapshot) EstimateDelta(m *cost.Model, dirtyV []bool) (dirty, total int
 // milliseconds, worker goroutines always drain before Solve returns (no
 // leaks), and a Background context costs the hot loop nothing.
 func Solve(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options) (*Result, error) {
-	res, _, err := solveRun(ctx, m, sq, opts, nil, nil, false)
-	return res, err
-}
-
-// SolveRetain is Solve, additionally retaining every DP table in a Snapshot
-// for later incremental re-solves. Results are byte-identical to Solve; the
-// price is that the solve's whole TotalEntries stays resident (plainly
-// allocated, outside both the arena and the MaxTableEntries budget) for as
-// long as the snapshot is held.
-func SolveRetain(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options) (*Result, *Snapshot, error) {
-	return solveRun(ctx, m, sq, opts, nil, nil, true)
-}
-
-// Resolve re-solves against model m reusing a prior solve's snapshot:
-// positions outside the dirty closure of dirtyV (per-vertex, true where the
-// vertex's cost tables changed between the snapshot's model and m) keep
-// their snapshot tables verbatim; only the closure is re-filled. The caller
-// must guarantee m's graph has the snapshot's topology (same node count and
-// edge list — the ordering is then identical) and that dirtyV is sound:
-// every vertex whose TL row, configuration list, or incident TX tables
-// differ from the snapshot's model must be marked. Under those conditions
-// the result is byte-identical to a fresh Solve over m — clean tables would
-// be re-filled to the same bytes — and a fresh Snapshot (sharing clean
-// tables with the old one) is returned for the next delta.
-func Resolve(ctx context.Context, m *cost.Model, snap *Snapshot, dirtyV []bool, opts Options) (*Result, *Snapshot, error) {
-	if snap == nil {
-		return nil, nil, fmt.Errorf("core: nil snapshot")
-	}
-	n := m.G.Len()
-	if len(snap.sq.Order) != n || len(dirtyV) != n {
-		return nil, nil, fmt.Errorf("core: snapshot covers %d vertices, model has %d (dirty set %d)", len(snap.sq.Order), n, len(dirtyV))
-	}
-	return solveRun(ctx, m, snap.sq, opts, snap, snap.posDirty(dirtyV), true)
-}
-
-// solveRun is the shared DP engine behind Solve, SolveRetain, and Resolve:
-// a full fill when posDirty is nil, a partial re-fill over the dirty
-// positions otherwise (clean positions alias snap's tables). retain keeps
-// every table (plainly allocated, no arena) and returns them as a Snapshot.
-// Budget accounting is identical in all modes — clean positions are charged
-// and retired exactly as if they had been filled — so ErrOOM semantics never
-// depend on the mode.
-func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options, snap *Snapshot, posDirty []bool, retain bool) (*Result, *Snapshot, error) {
 	g := m.G
 	n := g.Len()
 	if n == 0 {
-		return nil, nil, fmt.Errorf("core: empty graph")
+		return nil, fmt.Errorf("core: empty graph")
 	}
 	if len(sq.Order) != n {
-		return nil, nil, fmt.Errorf("core: ordering covers %d of %d vertices", len(sq.Order), n)
+		return nil, fmt.Errorf("core: ordering covers %d of %d vertices", len(sq.Order), n)
 	}
 
 	budget := opts.maxEntries()
@@ -444,14 +320,8 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 	// All connected subsets up front (one bitset pass): both the recurrence
 	// lookup wiring and the liveness plan need them. lastReader[j] is the
 	// last position whose fill reads tbl[j]; after that fill, tbl[j] is dead
-	// (back-substitution only reads choice) and is freed. A Resolve reuses
-	// the snapshot's subsets — same graph topology, same ordering.
-	var subsets [][][]int
-	if snap != nil {
-		subsets = snap.subsets
-	} else {
-		subsets = seq.ConnectedSubsetsAll(g, sq)
-	}
+	// (back-substitution only reads choice) and is freed.
+	subsets := seq.ConnectedSubsetsAll(g, sq)
 	lastReader := make([]int, n)
 	for j := range lastReader {
 		lastReader[j] = -1
@@ -487,7 +357,7 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 
 	for i := 0; i < n; i++ {
 		if done != nil && ctx.Err() != nil {
-			return nil, nil, cancelErr()
+			return nil, cancelErr()
 		}
 		v := sq.Order[i]
 		dep := sq.Dep[i] // node IDs sorted by position, all after i
@@ -499,7 +369,7 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 			digitOf[d] = k
 			tblSize *= int64(kk)
 			if tblSize > budget {
-				return nil, nil, fmt.Errorf("%w: table for vertex %d needs >%d entries", ErrOOM, v, budget)
+				return nil, fmt.Errorf("%w: table for vertex %d needs >%d entries", ErrOOM, v, budget)
 			}
 		}
 		st.TotalEntries += tblSize
@@ -508,38 +378,10 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 		}
 		liveUnits += 3 * tblSize
 		if liveUnits > budgetUnits {
-			return nil, nil, fmt.Errorf("%w: live tables at vertex %d exceed %d entries", ErrOOM, v, budget)
+			return nil, fmt.Errorf("%w: live tables at vertex %d exceed %d entries", ErrOOM, v, budget)
 		}
 		if live := (liveUnits + 2) / 3; live > st.PeakLiveEntries {
 			st.PeakLiveEntries = live
-		}
-
-		// Incremental re-solve: a position outside the dirty closure keeps
-		// its snapshot tables verbatim — its fill would reproduce the same
-		// bytes (unchanged TL/TX inputs, unchanged child tables). It is
-		// charged and retired through the budget exactly like a filled
-		// table, so ErrOOM behavior matches the full solve.
-		if posDirty != nil && !posDirty[i] {
-			old := snap.tbl[i]
-			if int64(len(old)) != tblSize {
-				return nil, nil, fmt.Errorf("core: resolve: clean position %d table has %d entries, model implies %d (unsound dirty set?)", i, len(old), tblSize)
-			}
-			tbl[i] = old
-			choice[i] = snap.choice[i]
-			st.ReusedEntries += tblSize
-			if i == n-1 {
-				finalCost = old[0]
-			}
-			for _, j := range freeAt[i] {
-				liveUnits -= 2 * int64(len(tbl[j]))
-			}
-			for _, d := range dep {
-				digitOf[d] = -1
-			}
-			continue
-		}
-		if posDirty != nil {
-			st.DirtyPositions++
 		}
 
 		// Connected subsets S(i) and their lookup wiring. Tables are laid
@@ -560,7 +402,7 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 				} else {
 					dg := digitOf[dj[k]]
 					if dg < 0 {
-						return nil, nil, fmt.Errorf("core: D(%d) member %d not in D(%d) ∪ {v(%d)}: ordering's dependent sets are inconsistent", jPos, dj[k], i, i)
+						return nil, fmt.Errorf("core: D(%d) member %d not in D(%d) ∪ {v(%d)}: ordering's dependent sets are inconsistent", jPos, dj[k], i, i)
 					}
 					r.phiDigit = append(r.phiDigit, dg)
 					r.phiStride = append(r.phiStride, stride)
@@ -568,7 +410,7 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 				stride *= int64(m.K(dj[k]))
 			}
 			if r.vStride > 1 {
-				return nil, nil, fmt.Errorf("core: v(%d) is not the first member of D(%d): first-member-fastest layout violated", i, jPos)
+				return nil, fmt.Errorf("core: v(%d) is not the first member of D(%d): first-member-fastest layout violated", i, jPos)
 			}
 			refs[si] = r
 		}
@@ -589,7 +431,7 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 			}
 			dg := digitOf[ie.Other]
 			if dg < 0 {
-				return nil, nil, fmt.Errorf("core: later neighbour %d of %d missing from D(%d)", ie.Other, v, i)
+				return nil, fmt.Errorf("core: later neighbour %d of %d missing from D(%d)", ie.Other, v, i)
 			}
 			var vals []float64
 			if ie.VIsU {
@@ -602,17 +444,8 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 
 		kv := m.K(v)
 		tlv := m.TLRow(v)
-		// Retained tables are plainly allocated: snapshot slices outlive the
-		// solve, so they must never enter the arena's recycling pools.
-		var t []float64
-		var ch []int32
-		if retain {
-			t = make([]float64, tblSize)
-			ch = make([]int32, tblSize)
-		} else {
-			t = arena.GetF64(tblSize)
-			ch = arena.GetI32(tblSize)
-		}
+		t := arena.GetF64(tblSize)
+		ch := arena.GetI32(tblSize)
 
 		// Flat strided kernel wiring. rowRefs are the subsets containing v:
 		// their lookups form a contiguous kv-long row per φ (vStride 1).
@@ -904,7 +737,7 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 			// against the budget like any other cost+choice table.
 			liveUnits += 3 * subSize
 			if liveUnits > budgetUnits {
-				return nil, nil, fmt.Errorf("%w: live tables at vertex %d exceed %d entries", ErrOOM, v, budget)
+				return nil, fmt.Errorf("%w: live tables at vertex %d exceed %d entries", ErrOOM, v, budget)
 			}
 			if live := (liveUnits + 2) / 3; live > st.PeakLiveEntries {
 				st.PeakLiveEntries = live
@@ -915,7 +748,7 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 				fillScan(lo, hi, used, minf, argc, false)
 			})
 			if cancelled.Load() {
-				return nil, nil, cancelErr()
+				return nil, cancelErr()
 			}
 			// Phase B: broadcast the scan results over the ignored digits,
 			// adding the φ-only cell lookups.
@@ -992,7 +825,7 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 		// A cancelled fill returned early with partial tables; parChunk has
 		// already drained its goroutines, so this is the clean exit point.
 		if cancelled.Load() {
-			return nil, nil, cancelErr()
+			return nil, cancelErr()
 		}
 		tbl[i] = t
 		choice[i] = ch
@@ -1001,15 +834,12 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 		}
 
 		// Retire cost tables whose last reader was this position — returning
-		// them to the arena for the next vertex's fill (a retaining solve
-		// only does the accounting: every table lives on in the snapshot) —
-		// and reset the dense digit map for the next vertex.
+		// them to the arena for the next vertex's fill — and reset the dense
+		// digit map for the next vertex.
 		for _, j := range freeAt[i] {
 			liveUnits -= 2 * int64(len(tbl[j]))
-			if !retain {
-				arena.PutF64(tbl[j])
-				tbl[j] = nil
-			}
+			arena.PutF64(tbl[j])
+			tbl[j] = nil
 		}
 		for _, d := range dep {
 			digitOf[d] = -1
@@ -1042,11 +872,11 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 		return nil
 	}
 	if err := walk(n - 1); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	for v := 0; v < n; v++ {
 		if !assigned[v] {
-			return nil, nil, fmt.Errorf("core: back-substitution left node %d unassigned (graph not weakly connected?)", v)
+			return nil, fmt.Errorf("core: back-substitution left node %d unassigned (graph not weakly connected?)", v)
 		}
 	}
 
@@ -1061,16 +891,7 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 	// minimum. Guard against wiring bugs rather than silently returning an
 	// inconsistent pair.
 	if ev := m.EvalIdx(idx); math.Abs(ev-res.Cost) > 1e-6*math.Max(1, math.Abs(ev)) {
-		return nil, nil, fmt.Errorf("core: extracted strategy costs %v but DP minimum is %v", ev, res.Cost)
-	}
-	if retain {
-		return res, &Snapshot{
-			sq:      sq,
-			subsets: subsets,
-			tbl:     tbl,
-			choice:  choice,
-			entries: st.TotalEntries,
-		}, nil
+		return nil, fmt.Errorf("core: extracted strategy costs %v but DP minimum is %v", ev, res.Cost)
 	}
 	// The result no longer references any DP table: hand every surviving
 	// buffer back to the arena for the next solve. (Error paths skip this
@@ -1083,7 +904,7 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 		arena.PutI32(choice[i])
 		choice[i] = nil
 	}
-	return res, nil, nil
+	return res, nil
 }
 
 // BruteForce exhaustively enumerates every strategy. It is exponential and

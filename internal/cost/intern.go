@@ -42,9 +42,8 @@ type internPlan struct {
 	vReps  []int // per vertex class: representative node ID
 	eClass []int // per edge: dense edge class ID
 	eReps  []int // per edge class: representative edge index
-	// Per-class canonical fingerprints — the ClassStore keys and the
-	// identities delta detection compares across models. nil for a singleton
-	// (DisableInterning) plan, which neither shares nor compares.
+	// Per-class canonical fingerprints — the ClassStore keys. nil for a
+	// singleton (DisableInterning) plan, which never shares.
 	vFPs []canon.Fingerprint // per vertex class: content fingerprint
 	eFPs []canon.Fingerprint // per edge class: endpoint classes + slot
 }
@@ -219,29 +218,6 @@ func (m *Model) TableBytes() int64 { return m.tableBytes }
 // per-occurrence (un-interned) table footprint minus TableBytes. Zero when
 // interning is disabled or nothing repeats.
 func (m *Model) SharedTableBytes() int64 { return m.sharedTableBytes }
-
-// VertexClassFP returns node v's final class fingerprint: the canonical
-// identity of its post-pruning configuration list and TL row (content class
-// + incidence shape + epsilon under pruning; the content class alone when
-// pruning is disabled). Two models agreeing on a node's fingerprint hold
-// byte-identical tables for it — the comparison delta re-solve runs. Zero
-// when the model was built with DisableInterning.
-func (m *Model) VertexClassFP(v int) canon.Fingerprint {
-	if m.vClassFP == nil {
-		return canon.Fingerprint{}
-	}
-	return m.vClassFP[v]
-}
-
-// EdgeClassFP returns edge e's final class fingerprint — the identity of its
-// post-pruning TX table (edge class + both endpoint prune classes). Zero
-// when the model was built with DisableInterning.
-func (m *Model) EdgeClassFP(e int) canon.Fingerprint {
-	if m.eClassFP == nil {
-		return canon.Fingerprint{}
-	}
-	return m.eClassFP[e]
-}
 
 // ClassStoreHits returns how many class references this build resolved from
 // its ClassStore (zero without a store); ClassStoreMisses how many it built

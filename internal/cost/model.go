@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pase/internal/canon"
 	"pase/internal/graph"
 	"pase/internal/itspace"
 	"pase/internal/machine"
@@ -60,10 +59,12 @@ type Model struct {
 
 	// Config-space reduction state (prune.go): the full enumeration before
 	// pruning, the full-index → interned-ID map, and how many configurations
-	// pruning removed. fullCfgs/repOf are nil when pruning is disabled.
+	// pruning removed, and the epsilon-dominance slack the build applied.
+	// fullCfgs/repOf are nil when pruning is disabled.
 	fullCfgs [][]itspace.Config
 	repOf    [][]int32
 	pruned   int
+	pruneEps float64
 
 	// Structural-sharing state (intern.go): distinct vertex/edge class
 	// counts, the resident bytes of the (aliased) cost tables, and the bytes
@@ -73,12 +74,8 @@ type Model struct {
 	tableBytes       int64
 	sharedTableBytes int64
 
-	// Cross-request sharing state (store.go): the final per-node and
-	// per-edge class fingerprints — identities of the post-pruning tables,
-	// which delta re-solve compares across models — and this build's
-	// ClassStore traffic. Fingerprints are zero when interning was disabled.
-	vClassFP        []canon.Fingerprint
-	eClassFP        []canon.Fingerprint
+	// Cross-request sharing state (store.go): this build's ClassStore
+	// traffic.
 	classStoreHits  int64
 	classStoreMiss  int64
 	classStoreBytes int64
@@ -335,23 +332,12 @@ func NewModelWith(ctx context.Context, g *graph.Graph, spec machine.Spec, pol it
 	// epsilon dominance when requested — followed by table compaction onto
 	// the surviving interned IDs. Both run per class: members of a prune
 	// class have byte-identical cost signatures, so they keep the same
-	// survivors and share the compacted tables. It also assigns the final
-	// (post-pruning) class fingerprints delta detection compares.
+	// survivors and share the compacted tables.
 	if !bo.DisablePruning {
+		m.pruneEps = max(bo.PruneEpsilon, 0)
 		m.pruneConfigs(ctx, bo.PruneEpsilon, plan, store, &storeHits, &storeMiss, &storeBytes)
 		if err := context.Cause(ctx); err != nil {
 			return nil, fmt.Errorf("cost: model build cancelled: %w", err)
-		}
-	} else if plan.vFPs != nil {
-		// Unpruned tables are identified by the content-level class
-		// fingerprints directly.
-		m.vClassFP = make([]canon.Fingerprint, g.Len())
-		for v := range m.vClassFP {
-			m.vClassFP[v] = plan.vFPs[plan.vClass[v]]
-		}
-		m.eClassFP = make([]canon.Fingerprint, len(m.edges))
-		for e := range m.eClassFP {
-			m.eClassFP[e] = plan.eFPs[plan.eClass[e]]
 		}
 	}
 	m.classStoreHits = storeHits.Load()
@@ -412,6 +398,11 @@ func (m *Model) MaxKEffective() int {
 // PrunedConfigs returns how many candidate configurations config-space
 // reduction removed across all nodes.
 func (m *Model) PrunedConfigs() int { return m.pruned }
+
+// PruneEpsilon returns the epsilon-dominance slack the build applied (zero
+// for an exact build): the model's optimum is within (1+ε)² of the unpruned
+// optimum.
+func (m *Model) PruneEpsilon() float64 { return m.pruneEps }
 
 // IndexOf returns the interned config ID of cfg within node v, or -1. A
 // configuration removed by pruning resolves to the ID of its surviving

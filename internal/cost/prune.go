@@ -297,8 +297,7 @@ func (m *Model) pruneConfigs(ctx context.Context, eps float64, plan *internPlan,
 	// Compact-class identities: one per (edge class, producer prune class,
 	// consumer prune class) — the survivor sets on both sides determine the
 	// gather, so edges agreeing on all three share the compacted table. The
-	// fingerprint variant (when computed) keys the store's compact entries
-	// and is the edge's final class identity for delta detection.
+	// fingerprint variant (when computed) keys the store's compact entries.
 	type compactKey struct{ ec, pu, pv int }
 	byKey := make(map[compactKey]int, len(m.edges))
 	cClass := make([]int, len(m.edges))
@@ -321,18 +320,6 @@ func (m *Model) pruneConfigs(ctx context.Context, eps float64, plan *internPlan,
 			}
 		}
 		cClass[e] = ci
-	}
-	// Final class fingerprints: a node's tables are determined by its prune
-	// entry identity, an edge's by its compact entry identity.
-	if rFPs != nil {
-		m.vClassFP = make([]canon.Fingerprint, n)
-		for v := 0; v < n; v++ {
-			m.vClassFP[v] = pKeys[rClass[v]]
-		}
-		m.eClassFP = make([]canon.Fingerprint, len(m.edges))
-		for e := range m.edges {
-			m.eClassFP[e] = cKeys[cClass[e]]
-		}
 	}
 	if !anyPruned {
 		// Nothing pruned anywhere: every compacted table would alias the

@@ -1,7 +1,7 @@
 package cost
 
-// Cross-request structural sharing (DESIGN.md "Cross-request sharing &
-// incremental re-solve"): intern.go removes repeated table builds *within*
+// Cross-request structural sharing (DESIGN.md "Cross-request sharing"):
+// intern.go removes repeated table builds *within*
 // one model, but a sweep over cluster sizes or a fleet of near-duplicate
 // requests still rebuilds byte-identical class tables once per model. A
 // ClassStore lifts the class cache to the planner: it is keyed by the same

@@ -44,9 +44,9 @@ type Document struct {
 	Method string `json:"method,omitempty"`
 	// Gap / Exact / BeamWidth, when set, record the anytime-beam provenance
 	// of this strategy: the true optimum is in [CostSeconds/(1+Gap),
-	// CostSeconds]; Exact marks proven optimality (always for "dp", for
-	// "beam" when no frontier truncation occurred); BeamWidth is the
-	// frontier width a beam solve ran at.
+	// CostSeconds]; Exact marks proven optimality ("dp", or "beam" when no
+	// frontier truncation occurred, in both cases only without epsilon
+	// pruning); BeamWidth is the frontier width a beam solve ran at.
 	Gap       float64 `json:"gap,omitempty"`
 	Exact     bool    `json:"exact,omitempty"`
 	BeamWidth int     `json:"beam_width,omitempty"`
@@ -70,11 +70,9 @@ type Document struct {
 	// ClassStoreHits / ClassStoreBytes, when set, record the cross-request
 	// sharing of the model build behind this solve: class tables resolved
 	// from the planner's class store instead of rebuilt, and the bytes those
-	// hits aliased. DeltaResolve records that the solve itself was served
-	// incrementally from a retained DP snapshot.
+	// hits aliased.
 	ClassStoreHits  int64 `json:"class_store_hits,omitempty"`
 	ClassStoreBytes int64 `json:"class_store_bytes,omitempty"`
-	DeltaResolve    bool  `json:"delta_resolve,omitempty"`
 	// Degraded / DegradeReason, when set, record that the planner served
 	// this "dp" request through its graceful-degradation ladder: the
 	// strategy is a valid bounded-width beam result (Gap/BeamWidth carry its

@@ -55,7 +55,10 @@ func divisorSplits(extent int64, p int) []int {
 // Enumerate generates all valid parallelization configurations of the space
 // for p devices under the policy, in deterministic order (sorted first by
 // number of split dims, then lexicographically). Determinism keeps DP table
-// layouts, benchmarks, and golden tests stable.
+// layouts, benchmarks, and golden tests stable. Every configuration's degree
+// divides p, so it maps onto the devices exactly; a change to which
+// configurations exist must bump the enumeration label in the planner's
+// snapshot fingerprint.
 func Enumerate(s Space, p int, pol EnumPolicy) []Config {
 	if p < 1 {
 		return nil
@@ -82,6 +85,9 @@ func Enumerate(s Space, p int, pol EnumPolicy) []Config {
 		for _, c := range perDim[dim] {
 			if degree*c > p {
 				break // candidates are sorted ascending
+			}
+			if p%(degree*c) != 0 {
+				continue
 			}
 			cur[dim] = c
 			rec(dim+1, degree*c)

@@ -277,3 +277,50 @@ func TestEnumerateCompleteQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Property over every device count the API accepts up to 64, composite and
+// prime included: each enumerated config's degree divides p (so it maps onto
+// the devices exactly and validates), and every config the validator
+// accepts over the per-dim divisor grid is enumerated.
+func TestEnumerateDegreeDividesEveryP(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	extents := []int64{1, 2, 3, 6, 12, 24, 35, 48, 64, 96, 128, 360}
+	for p := 1; p <= 64; p++ {
+		for trial := 0; trial < 4; trial++ {
+			nd := 1 + rng.Intn(4)
+			s := make(Space, nd)
+			for i := range s {
+				s[i] = Dim{Name: string(rune('a' + i)), Size: extents[rng.Intn(len(extents))]}
+			}
+			got := Enumerate(s, p, EnumPolicy{})
+			for _, c := range got {
+				if p%c.Degree() != 0 {
+					t.Fatalf("p=%d space %v: config %v degree %d does not divide p", p, s, c, c.Degree())
+				}
+				if err := c.ValidFor(s, p); err != nil {
+					t.Fatalf("p=%d: enumerated invalid config %v: %v", p, c, err)
+				}
+			}
+			valid := 0
+			var rec func(dim int, cur Config)
+			rec = func(dim int, cur Config) {
+				if dim == nd {
+					if cur.ValidFor(s, p) == nil {
+						valid++
+					}
+					return
+				}
+				for c := 1; c <= p; c++ {
+					if p%c == 0 && s[dim].Size%int64(c) == 0 {
+						cur[dim] = c
+						rec(dim+1, cur)
+					}
+				}
+			}
+			rec(0, make(Config, nd))
+			if valid != len(got) {
+				t.Fatalf("p=%d space %v: enumerated %d configs, validator accepts %d", p, s, len(got), valid)
+			}
+		}
+	}
+}

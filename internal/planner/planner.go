@@ -235,19 +235,19 @@ type Result struct {
 	// for cached results, baseline methods, and store-less planners.
 	ClassStoreHits  int64
 	ClassStoreBytes int64
-	// DeltaResolve reports that this result came from an incremental
-	// re-solve: the planner found a cached DP snapshot for the same graph
-	// topology and solve shape, and re-filled only the tables the request's
-	// delta dirtied.
-	DeltaResolve bool
-	// Gap is the tracked optimality gap of a "beam" result: the true
-	// optimum is guaranteed to lie in [Cost/(1+Gap), Cost]. Zero for exact
-	// methods ("dp", and "beam" when the solve proved exactness) and for
-	// heuristics that track no bound (mcmc, baselines — see Exact).
+	// Gap bounds the optimality of a "dp" or "beam" result: the true
+	// optimum is guaranteed to lie in [Cost/(1+Gap), Cost]. It compounds the
+	// beam's tracked frontier gap with the model's epsilon-dominance slack —
+	// a model built with effective PruneEpsilon ε > 0 contributes (1+ε)², so
+	// an untruncated "dp" result there reports Gap = (1+ε)²−1. Zero when the
+	// result is exact, and for heuristics that track no bound (mcmc,
+	// baselines — see Exact).
 	Gap float64
-	// Exact reports that Cost is provably the model's optimum: always true
-	// for "dp", true for "beam" when no frontier truncation occurred (or the
-	// gap closed to zero), false for mcmc and the baselines.
+	// Exact reports that Cost is provably the optimum of the unpruned
+	// problem: true for "dp" and for "beam" when no frontier truncation
+	// occurred (or the gap closed to zero), in both cases only when the
+	// model's effective PruneEpsilon is zero; false for mcmc and the
+	// baselines.
 	Exact bool
 	// BeamWidth is the frontier width a "beam" request resolved to (after
 	// Config.DefaultBeamWidth); zero for every other method — except a
@@ -326,15 +326,6 @@ type BatchItem struct {
 	Err    error
 }
 
-// DefaultDeltaThreshold is the largest dirty-entries fraction an incremental
-// re-solve is allowed: a cached snapshot is reused only when at most this
-// fraction of the DP tables' entries must be re-filled (Config.DeltaThreshold
-// overrides). Measured on the paper's Transformer, single-layer attribute
-// deltas re-fill 0.1–0.25 of the entries while cross-cutting changes exceed
-// 0.5, so 0.3 admits the former and falls back to a full solve for the
-// latter.
-const DefaultDeltaThreshold = 0.3
-
 // Config sizes a Planner. The zero value selects sensible defaults.
 type Config struct {
 	// ModelCacheSize bounds the cost-model LRU (default 16 models). Models
@@ -362,19 +353,6 @@ type Config struct {
 	// build constructs its own tables. This is the byte-identity oracle the
 	// store's property tests pin store-enabled builds against.
 	DisableClassStore bool
-	// DeltaCacheSize bounds the incremental re-solve cache: how many
-	// (model, DP snapshot) pairs the planner retains, keyed by graph
-	// topology and solve shape, so a request differing from a cached one by
-	// a small delta re-runs only the affected DP tables. Snapshots retain
-	// the full DP tables of their solve, so keep this small. Zero selects
-	// 2; negative disables incremental re-solve entirely (every dp solve
-	// runs cold through the shared arena).
-	DeltaCacheSize int
-	// DeltaThreshold is the largest dirty-entries fraction admitted to an
-	// incremental re-solve (see DefaultDeltaThreshold, the zero default);
-	// above it the planner falls back to a full solve. Negative disables
-	// delta admission while still retaining snapshots.
-	DeltaThreshold float64
 	// DefaultBeamWidth is applied to "beam" requests whose Options leave
 	// BeamWidth unset (zero). Like DefaultPruneEpsilon, the effective width
 	// — not the request's literal field — enters the fingerprint. Zero means
@@ -431,23 +409,6 @@ func (c Config) batchWorkers() int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return c.BatchWorkers
-}
-
-func (c Config) deltaCacheSize() int {
-	if c.DeltaCacheSize == 0 {
-		return 2
-	}
-	if c.DeltaCacheSize < 0 {
-		return 0
-	}
-	return c.DeltaCacheSize
-}
-
-func (c Config) deltaThreshold() float64 {
-	if c.DeltaThreshold == 0 {
-		return DefaultDeltaThreshold
-	}
-	return c.DeltaThreshold
 }
 
 // degradeQueueDepth resolves the queue depth at which "dp" requests degrade;
@@ -519,13 +480,6 @@ type Stats struct {
 	ClassStoreBytes      int64 `json:"class_store_bytes"`
 	ClassStoreSavedBytes int64 `json:"class_store_saved_bytes"`
 	ClassStoreEvictions  int64 `json:"class_store_evictions"`
-	// DeltaResolves counts dp solves served by incremental re-solve (only
-	// the changed DP tables re-filled from a cached snapshot);
-	// DeltaFallbacks counts solves that found a comparable snapshot but ran
-	// cold because the delta exceeded the threshold (or the models were not
-	// comparable).
-	DeltaResolves  int64 `json:"delta_resolves"`
-	DeltaFallbacks int64 `json:"delta_fallbacks"`
 	// BeamSolves counts underlying "beam" method runs actually performed;
 	// BeamFallbacks counts requests that asked for "beam" but resolved an
 	// unbounded width and were routed to the exact "dp" path instead.
@@ -599,17 +553,7 @@ type Planner struct {
 	results      *lruCache[canon.Fingerprint, *Result]
 	solveFlights map[canon.Fingerprint]*solveFlight
 	modelFlights map[canon.Fingerprint]*modelFlight
-	deltas       *lruCache[canon.Fingerprint, *deltaEntry]
 	stats        Stats
-}
-
-// deltaEntry is one retained dp solve: the model it ran over and the DP
-// snapshot (every cost and choice table), keyed by the solve's topology/shape
-// fingerprint (deltaKey). A later request under the same key diffs its model
-// against this one by final class fingerprints to find what changed.
-type deltaEntry struct {
-	model *cost.Model
-	snap  *core.Snapshot
 }
 
 // New returns a Planner sized by cfg (zero value: defaults).
@@ -635,9 +579,6 @@ func New(cfg Config) *Planner {
 	p.results = newLRU[canon.Fingerprint, *Result](cfg.resultCacheSize(), func(canon.Fingerprint, *Result) {
 		p.stats.ResultEvictions++
 	})
-	if n := cfg.deltaCacheSize(); n > 0 {
-		p.deltas = newLRU[canon.Fingerprint, *deltaEntry](n, nil)
-	}
 	return p
 }
 
@@ -692,15 +633,43 @@ func Fingerprints(req Request) (modelFP, solveFP canon.Fingerprint) {
 	return modelFP, solveFP
 }
 
-// normalize resolves the planner-default-dependent options in place, exactly
-// as Solve fingerprints them. The effective epsilon: zero inherits the
-// planner default, negative explicitly opts out. The effective beam width the
-// same way — and an unbounded width means the beam IS the exact DP, so the
-// request is rewritten to "dp" (it shares the exact solve's fingerprint,
-// caches, and flights; the returned flag reports that rewrite so Solve can
-// count it in Stats.BeamFallbacks). Every other method has its beam knobs
-// cleared so they cannot perturb behavior (they are not fingerprinted anyway).
-func (p *Planner) normalize(opts *Options) (beamFallback bool) {
+// prepared is a validated request after option resolution: the normalized
+// request, its fingerprints (zero for Request.Model solves, which bypass the
+// caches), and whether an unbounded "beam" request was rewritten to "dp".
+type prepared struct {
+	Request
+	modelFP, solveFP canon.Fingerprint
+	beamFallback     bool
+}
+
+// prepare is the one normalization step every entry point shares (Solve,
+// SolveFingerprint, the Request.Model path, Model): it validates the method
+// and MCMC seed, then resolves the planner-default-dependent options exactly
+// as they are fingerprinted. The effective epsilon: zero inherits the planner
+// default, negative explicitly opts out. The effective beam width the same
+// way — and an unbounded width means the beam IS the exact DP, so the request
+// is rewritten to "dp" (it shares the exact solve's fingerprint, caches, and
+// flights). Every other method has its beam knobs cleared so they cannot
+// perturb behavior (they are not fingerprinted anyway).
+func (p *Planner) prepare(req Request) (prepared, error) {
+	if err := ValidateMethod(req.Opts.Method); err != nil {
+		return prepared{}, err
+	}
+	if init := req.Opts.MCMCInit; init != "" {
+		// Fail fast on a bad seed strategy — the same validation Method
+		// gets — instead of discovering it after a full model build.
+		if err := ValidateMethod(init); err != nil {
+			return prepared{}, err
+		}
+		if !strategies.IsBaselineMethod(init) {
+			return prepared{}, fmt.Errorf("planner: MCMCInit %q is not a baseline method (want dataparallel or expert:<family>)", init)
+		}
+	}
+	if req.Model == nil && req.G == nil {
+		return prepared{}, errors.New("planner: nil graph")
+	}
+	pr := prepared{Request: req}
+	opts := &pr.Opts
 	switch {
 	case opts.PruneEpsilon < 0:
 		opts.PruneEpsilon = 0
@@ -713,18 +682,19 @@ func (p *Planner) normalize(opts *Options) (beamFallback bool) {
 		}
 		if opts.BeamWidth <= 0 {
 			opts.Method = "dp"
-			opts.BeamWidth = 0
-			opts.GapTarget = 0
-			return true
-		}
-		if opts.GapTarget < 0 {
+			pr.beamFallback = true
+		} else if opts.GapTarget < 0 {
 			opts.GapTarget = -1
 		}
-		return false
 	}
-	opts.BeamWidth = 0
-	opts.GapTarget = 0
-	return false
+	if opts.method() != "beam" {
+		opts.BeamWidth = 0
+		opts.GapTarget = 0
+	}
+	if pr.Model == nil {
+		pr.modelFP, pr.solveFP = Fingerprints(pr.Request)
+	}
+	return pr, nil
 }
 
 // SolveFingerprint returns the canonical solve fingerprint Solve would cache
@@ -736,15 +706,11 @@ func (p *Planner) SolveFingerprint(req Request) (canon.Fingerprint, error) {
 	if req.Model != nil {
 		return canon.Fingerprint{}, errors.New("planner: Request.Model solves bypass the caches and have no fingerprint")
 	}
-	if req.G == nil {
-		return canon.Fingerprint{}, errors.New("planner: nil graph")
-	}
-	if err := ValidateMethod(req.Opts.Method); err != nil {
+	pr, err := p.prepare(req)
+	if err != nil {
 		return canon.Fingerprint{}, err
 	}
-	p.normalize(&req.Opts)
-	_, solveFP := Fingerprints(req)
-	return solveFP, nil
+	return pr.solveFP, nil
 }
 
 // HasLocal reports whether fp is already answerable from this planner
@@ -759,14 +725,6 @@ func (p *Planner) HasLocal(fp canon.Fingerprint) bool {
 	}
 	_, ok := p.solveFlights[fp]
 	return ok
-}
-
-// Find solves (g, spec, opts) without cancellation.
-//
-// Deprecated: Find is the pre-context entry point, kept as a thin wrapper.
-// Use Solve with a context (and, for the baselines and MCMC, a Method).
-func (p *Planner) Find(g *graph.Graph, spec machine.Spec, opts Options) (*Result, error) {
-	return p.Solve(context.Background(), Request{G: g, Spec: spec, Opts: opts})
 }
 
 // Solve serves one request: it is the single entry point every method and
@@ -785,34 +743,22 @@ func (p *Planner) Solve(ctx context.Context, req Request) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := ValidateMethod(req.Opts.Method); err != nil {
+	pr, err := p.prepare(req)
+	if err != nil {
 		return nil, err
-	}
-	if init := req.Opts.MCMCInit; init != "" {
-		// Fail fast on a bad seed strategy — the same validation Method
-		// gets — instead of discovering it after a full model build.
-		if err := ValidateMethod(init); err != nil {
-			return nil, err
-		}
-		if !strategies.IsBaselineMethod(init) {
-			return nil, fmt.Errorf("planner: MCMCInit %q is not a baseline method (want dataparallel or expert:<family>)", init)
-		}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, context.Cause(ctx)
 	}
-	if req.Model != nil {
-		return p.solveWithModel(ctx, req, start)
-	}
-	if req.G == nil {
-		return nil, errors.New("planner: nil graph")
-	}
-	if p.normalize(&req.Opts) {
+	if pr.beamFallback {
 		p.mu.Lock()
 		p.stats.BeamFallbacks++
 		p.mu.Unlock()
 	}
-	modelFP, solveFP := Fingerprints(req)
+	req, modelFP, solveFP := pr.Request, pr.modelFP, pr.solveFP
+	if req.Model != nil {
+		return p.solveWithModel(ctx, req, start)
+	}
 
 	// Fast path: cache hits and ride-alongs on in-flight identical solves
 	// bypass admission control — they perform no new underlying work, so
@@ -1020,7 +966,7 @@ func (p *Planner) doSolve(ctx context.Context, req Request, modelFP, solveFP can
 				break
 			}
 			if err = p.cfg.FaultPlan.Fire(ctx, pressure.SiteDP); err == nil {
-				res, err = p.runDPCached(ctx, m, req.Opts, start)
+				res, err = runDP(ctx, m, req.Opts, start, p.arena)
 			}
 			if err != nil && errors.Is(err, core.ErrOOM) && p.cfg.DegradeBeamWidth > 0 {
 				res, err = p.runDegraded(ctx, m, req.Opts, start, DegradeReasonOOM)
@@ -1053,21 +999,6 @@ func (p *Planner) solveWithModel(ctx context.Context, req Request, start time.Ti
 	m := req.Model
 	if req.G != nil && req.G != m.G {
 		return nil, errors.New("planner: Request.Model was built for a different graph than Request.G")
-	}
-	// The Model path skips Solve's fingerprint-time normalization, so apply
-	// the beam width resolution here: zero inherits the planner default, and
-	// an unbounded width routes to the exact DP.
-	if req.Opts.method() == "beam" {
-		if req.Opts.BeamWidth == 0 {
-			req.Opts.BeamWidth = p.cfg.DefaultBeamWidth
-		}
-		if req.Opts.BeamWidth <= 0 {
-			req.Opts.Method = "dp"
-			req.Opts.BeamWidth = 0
-			p.mu.Lock()
-			p.stats.BeamFallbacks++
-			p.mu.Unlock()
-		}
 	}
 	method := req.Opts.method()
 	switch {
@@ -1116,8 +1047,7 @@ func dpResult(r *core.Result, start time.Time) *Result {
 }
 
 // runDP runs ordering + the dependent-set DP over a built model, drawing
-// table buffers from the planner's shared arena. It is the cold path:
-// Request.Model solves and planners with incremental re-solve disabled.
+// table buffers from the planner's shared arena.
 func runDP(ctx context.Context, m *cost.Model, opts Options, start time.Time, arena *core.Arena) (*Result, error) {
 	r, err := core.Solve(ctx, m, dpSeq(m, opts), core.Options{
 		MaxTableEntries: opts.MaxTableEntries,
@@ -1127,13 +1057,24 @@ func runDP(ctx context.Context, m *cost.Model, opts Options, start time.Time, ar
 	if err != nil {
 		return nil, err
 	}
-	return dpResult(r, start), nil
+	res := dpResult(r, start)
+	boundEpsilon(res, m.PruneEpsilon())
+	return res, nil
 }
 
-// runBeam runs the anytime bounded-width DP over a built model. Beam solves
-// always run cold — the incremental re-solve path (runDPCached) retains and
-// diffs exact DP snapshots, and a width-W frontier is not a meaningful delta
-// base — but they share the planner's arena like every other solve.
+// boundEpsilon widens a result's guarantee by its model's epsilon-dominance
+// slack: with ε > 0 the pruned model's optimum is only within (1+ε)² of the
+// unpruned one, so the result is not exact and the slack compounds with any
+// frontier gap the solve tracked.
+func boundEpsilon(res *Result, eps float64) {
+	if eps > 0 {
+		res.Exact = false
+		res.Gap = (1+res.Gap)*(1+eps)*(1+eps) - 1
+	}
+}
+
+// runBeam runs the anytime bounded-width DP over a built model, sharing the
+// planner's arena like every other solve.
 func (p *Planner) runBeam(ctx context.Context, m *cost.Model, opts Options, start time.Time) (*Result, error) {
 	br, err := core.SolveBeam(ctx, m, dpSeq(m, opts), core.BeamOptions{
 		Options: core.Options{
@@ -1150,6 +1091,7 @@ func (p *Planner) runBeam(ctx context.Context, m *cost.Model, opts Options, star
 	res := dpResult(&br.Result, start)
 	res.Gap = br.Gap
 	res.Exact = br.Exact
+	boundEpsilon(res, m.PruneEpsilon())
 	res.BeamWidth = opts.BeamWidth
 	res.deadlineTruncated = br.Truncated
 	p.mu.Lock()
@@ -1192,131 +1134,6 @@ func beamDeadlineMargin(remaining time.Duration) time.Duration {
 		margin = 25 * time.Millisecond
 	}
 	return margin
-}
-
-// deltaKey fingerprints the solve shape an incremental re-solve requires two
-// requests to share: the graph's topology (node count and the exact edge
-// list with input slots — what pins the vertex ordering, the dependent sets,
-// and the edge indexing), the memory budget, and the ordering choice.
-// Everything content-level — node attributes, the machine, the enumeration
-// policy, the prune epsilon — is deliberately excluded: content is the
-// delta, detected per class by diffModels (all of it enters the final class
-// fingerprints, so a machine or policy change dirties every vertex and falls
-// back to a full solve through the ordinary threshold).
-func deltaKey(g *graph.Graph, opts Options) canon.Fingerprint {
-	w := canon.NewWriter()
-	w.Label("pase.delta-key/v1")
-	w.Int(g.Len())
-	edges := g.Edges()
-	w.Len(len(edges))
-	for _, uv := range edges {
-		w.Int(uv[0])
-		w.Int(uv[1])
-		w.Int(g.InputIndex(uv[0], uv[1]))
-	}
-	budget := opts.MaxTableEntries
-	if budget <= 0 {
-		budget = core.DefaultMaxTableEntries
-	}
-	w.I64(budget)
-	w.Bool(opts.BreadthFirst)
-	return w.Sum()
-}
-
-// diffModels compares two same-topology models by their final class
-// fingerprints and returns the dirty-vertex set: a vertex is dirty when its
-// own class changed or an incident edge's class changed. ok is false when
-// the models are not comparable — mismatched shapes (a deltaKey collision
-// would be needed) or a model built without fingerprints (DisableInterning).
-func diffModels(old, new *cost.Model) (dirtyV []bool, ok bool) {
-	n := new.G.Len()
-	oldEdges, newEdges := old.Edges(), new.Edges()
-	if old.G.Len() != n || len(oldEdges) != len(newEdges) {
-		return nil, false
-	}
-	var zero canon.Fingerprint
-	dirtyV = make([]bool, n)
-	for v := 0; v < n; v++ {
-		fo, fn := old.VertexClassFP(v), new.VertexClassFP(v)
-		if fo == zero || fn == zero {
-			return nil, false
-		}
-		if fo != fn {
-			dirtyV[v] = true
-		}
-	}
-	for e, uv := range newEdges {
-		if oldEdges[e] != uv {
-			return nil, false
-		}
-		if old.EdgeClassFP(e) != new.EdgeClassFP(e) {
-			dirtyV[uv[0]] = true
-			dirtyV[uv[1]] = true
-		}
-	}
-	return dirtyV, true
-}
-
-// runDPCached is the dp path for planner-built models: it retains each
-// solve's DP snapshot and, when a later request's model differs from a
-// cached snapshot's by a small enough delta (dirty-entries fraction at most
-// the threshold), re-fills only the dirtied tables via core.Resolve —
-// byte-identical to the full solve it replaces. Everything else (cold
-// topologies, large deltas, incomparable models) runs a full solve and
-// refreshes the snapshot.
-func (p *Planner) runDPCached(ctx context.Context, m *cost.Model, opts Options, start time.Time) (*Result, error) {
-	if p.deltas == nil {
-		return runDP(ctx, m, opts, start, p.arena)
-	}
-	coreOpts := core.Options{
-		MaxTableEntries: opts.MaxTableEntries,
-		Workers:         opts.Workers,
-	}
-	key := deltaKey(m.G, opts)
-	p.mu.Lock()
-	ent, found := p.deltas.Get(key)
-	p.mu.Unlock()
-	if found {
-		admitted := false
-		if dirtyV, comparable := diffModels(ent.model, m); comparable {
-			if thr := p.cfg.deltaThreshold(); thr >= 0 {
-				dirty, total := ent.snap.EstimateDelta(m, dirtyV)
-				admitted = total > 0 && float64(dirty) <= thr*float64(total)
-			}
-			if admitted {
-				r, snap, err := core.Resolve(ctx, m, ent.snap, dirtyV, coreOpts)
-				if err == nil {
-					p.mu.Lock()
-					p.deltas.Put(key, &deltaEntry{model: m, snap: snap})
-					p.stats.DeltaResolves++
-					p.mu.Unlock()
-					res := dpResult(r, start)
-					res.DeltaResolve = true
-					return res, nil
-				}
-				if ctx.Err() != nil {
-					return nil, context.Cause(ctx)
-				}
-				// Any other Resolve failure (ErrOOM, an unsound snapshot)
-				// falls through to the full solve, which answers on its own
-				// terms.
-				admitted = false
-			}
-		}
-		if !admitted {
-			p.mu.Lock()
-			p.stats.DeltaFallbacks++
-			p.mu.Unlock()
-		}
-	}
-	r, snap, err := core.SolveRetain(ctx, m, dpSeq(m, opts), coreOpts)
-	if err != nil {
-		return nil, err
-	}
-	p.mu.Lock()
-	p.deltas.Put(key, &deltaEntry{model: m, snap: snap})
-	p.mu.Unlock()
-	return dpResult(r, start), nil
 }
 
 // runMCMC runs the FlexFlow-substitute chain over a built model, seeded by
@@ -1369,12 +1186,11 @@ func runBaseline(ctx context.Context, g *graph.Graph, spec machine.Spec, method 
 // Callers that need direct model access (strategy costing, simulation
 // baselines) share the planner's model cache this way.
 func (p *Planner) Model(ctx context.Context, g *graph.Graph, spec machine.Spec, pol itspace.EnumPolicy) (*cost.Model, error) {
-	req := Request{G: g, Spec: spec, Opts: Options{Policy: pol, PruneEpsilon: p.cfg.DefaultPruneEpsilon}}
-	if req.Opts.PruneEpsilon < 0 {
-		req.Opts.PruneEpsilon = 0
+	pr, err := p.prepare(Request{G: g, Spec: spec, Opts: Options{Policy: pol}})
+	if err != nil {
+		return nil, err
 	}
-	modelFP, _ := Fingerprints(req)
-	m, _, err := p.model(ctx, req, modelFP, true)
+	m, _, err := p.model(ctx, pr.Request, pr.modelFP, true)
 	return m, err
 }
 
@@ -1473,14 +1289,6 @@ func (p *Planner) waitModel(ctx context.Context, fp canon.Fingerprint, fl *model
 		}
 		return nil, 0, context.Cause(ctx)
 	}
-}
-
-// FindBatch solves independent requests without cancellation.
-//
-// Deprecated: FindBatch is the pre-context entry point, kept as a thin
-// wrapper. Use SolveBatch with a context.
-func (p *Planner) FindBatch(reqs []Request) []BatchItem {
-	return p.SolveBatch(context.Background(), reqs)
 }
 
 // SolveBatch solves independent requests concurrently across the planner's

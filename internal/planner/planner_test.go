@@ -2,12 +2,14 @@ package planner
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
 
 	"pase/internal/core"
 	"pase/internal/cost"
+	"pase/internal/graph"
 	"pase/internal/machine"
 	"pase/internal/models"
 	"pase/internal/seq"
@@ -324,7 +326,147 @@ func TestDefaultPruneEpsilonResolvesIntoFingerprintAndSolve(t *testing.T) {
 	if rOver.Fingerprint != rAggr.Fingerprint {
 		t.Error("explicit PruneEpsilon and equal planner default disagree on fingerprint")
 	}
+	// The reported guarantee matches the effective epsilon: exact at zero,
+	// the (1+ε)² slack otherwise — whether ε came from the planner default
+	// or the request.
+	if !rExact.Exact || rExact.Gap != 0 {
+		t.Errorf("eps=0 result: exact %v gap %v, want exact with gap 0", rExact.Exact, rExact.Gap)
+	}
+	wantGap := 1.05*1.05 - 1
+	for label, r := range map[string]*Result{"planner default": rAggr, "request": rOver} {
+		if r.Exact || math.Abs(r.Gap-wantGap) > 1e-12 {
+			t.Errorf("%s eps=0.05 result: exact %v gap %v, want inexact with gap %v", label, r.Exact, r.Gap, wantGap)
+		}
+	}
+	// A negative request epsilon opts out of the planner default and is
+	// exact again.
+	optOut := req
+	optOut.Opts.PruneEpsilon = -1
+	rOut, err := aggr.Solve(context.Background(), optOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rOut.Exact || rOut.Gap != 0 || rOut.Fingerprint != rExact.Fingerprint {
+		t.Errorf("eps<0 opt-out: exact %v gap %v, fingerprint match %v; want the exact result", rOut.Exact, rOut.Gap, rOut.Fingerprint == rExact.Fingerprint)
+	}
 	if st := exact.Stats(); st.PrunedConfigs <= 0 {
 		t.Errorf("planner stats PrunedConfigs = %d, want > 0 (AlexNet p=8 dedup fires)", st.PrunedConfigs)
+	}
+}
+
+// mutateNode multiplies one named node's FLOPs density — a content-only
+// delta: topology, iteration spaces, and tensor maps are untouched, so the
+// config space (and every DP table shape) is preserved.
+func mutateNode(t *testing.T, g *graph.Graph, name string, factor float64) {
+	t.Helper()
+	for i := range g.Nodes {
+		if g.Nodes[i].Name == name {
+			g.Nodes[i].FlopsPerPoint *= factor
+			return
+		}
+	}
+	t.Fatalf("no node named %q", name)
+}
+
+func requireSameStrategy(t *testing.T, label string, got, want *Result) {
+	t.Helper()
+	if got.Cost != want.Cost {
+		t.Fatalf("%s: cost %v != oracle %v", label, got.Cost, want.Cost)
+	}
+	if len(got.Strategy) != len(want.Strategy) {
+		t.Fatalf("%s: strategy length %d != oracle %d", label, len(got.Strategy), len(want.Strategy))
+	}
+	for v := range want.Strategy {
+		if !got.Strategy[v].Equal(want.Strategy[v]) {
+			t.Fatalf("%s node %d: strategy %v != oracle %v", label, v, got.Strategy[v], want.Strategy[v])
+		}
+	}
+}
+
+// The acceptance property for the class store: a warm sweep — the same
+// model builds the planner has already served once — performs ZERO
+// redundant class builds. Every reference hits; hits equal total references
+// minus the distinct classes, which were each built exactly once, in the
+// cold pass.
+func TestWarmSweepZeroRedundantClassBuilds(t *testing.T) {
+	bm, err := models.ByName("transformer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := bm.Build(bm.Batch)
+	// ModelCacheSize 1 forces every sweep point to rebuild its model: the
+	// warm pass exercises the class store, not the model cache.
+	pl := New(Config{ModelCacheSize: 1})
+	sweep := func() {
+		for _, p := range []int{2, 4, 8, 16, 32} {
+			if _, err := pl.Model(context.Background(), g, machine.GTX1080Ti(p), bm.Policy(p)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	sweep()
+	cold := pl.Stats()
+	coldRefs := cold.ClassStoreHits + cold.ClassStoreMisses
+	if cold.ClassStoreMisses == 0 {
+		t.Fatalf("cold sweep built no classes through the store: %+v", cold)
+	}
+	sweep()
+	warm := pl.Stats()
+	if d := warm.ClassStoreMisses - cold.ClassStoreMisses; d != 0 {
+		t.Errorf("warm sweep rebuilt %d classes, want 0 redundant class builds", d)
+	}
+	if d := warm.ClassStoreHits - cold.ClassStoreHits; d != coldRefs {
+		t.Errorf("warm sweep hit %d references, want all %d the cold sweep made", d, coldRefs)
+	}
+	// hits = total references − distinct classes, with each distinct class
+	// built exactly once ever.
+	total := warm.ClassStoreHits + warm.ClassStoreMisses
+	if warm.ClassStoreHits != total-warm.ClassStoreMisses {
+		t.Errorf("hits %d != references %d − distinct classes %d", warm.ClassStoreHits, total, warm.ClassStoreMisses)
+	}
+	if warm.ClassStoreEvictions != 0 {
+		t.Errorf("store evicted %d entries under the default budget", warm.ClassStoreEvictions)
+	}
+	if warm.ClassStoreSavedBytes <= 0 {
+		t.Errorf("warm sweep saved %d bytes, want > 0", warm.ClassStoreSavedBytes)
+	}
+}
+
+// A what-if edit to one layer re-solves from scratch, yet its model build
+// still resolves every class the edit left alone from the class store — and
+// the result is byte-identical (cost AND strategy) to a store-less oracle
+// planner's, at every worker count.
+func TestEditedGraphReusesClassStoreAndMatchesOracle(t *testing.T) {
+	bm, err := models.ByName("transformer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const p = 8
+	for _, workers := range []int{1, 4, 0} {
+		g1 := bm.Build(bm.Batch)
+		g2 := bm.Build(bm.Batch)
+		mutateNode(t, g2, "enc0_self_wo", 1.5)
+		opts := Options{Policy: bm.Policy(p), Workers: workers}
+		spec := machine.GTX1080Ti(p)
+
+		pl := New(Config{})
+		if _, err := pl.Solve(context.Background(), Request{G: g1, Spec: spec, Opts: opts}); err != nil {
+			t.Fatal(err)
+		}
+		res, err := pl.Solve(context.Background(), Request{G: g2, Spec: spec, Opts: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Cached || res.ClassStoreHits == 0 {
+			t.Errorf("workers %d: edited graph cached %v, class-store hits %d; want a fresh solve over stored classes",
+				workers, res.Cached, res.ClassStoreHits)
+		}
+
+		oraclePl := New(Config{DisableClassStore: true})
+		oracle, err := oraclePl.Solve(context.Background(), Request{G: g2, Spec: spec, Opts: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameStrategy(t, "edited vs oracle", res, oracle)
 	}
 }

@@ -56,6 +56,7 @@ func snapshotFingerprint() canon.Fingerprint {
 	for _, label := range []string{
 		"pase.request/v1",      // request/solve fingerprints (result-cache keys)
 		"graph.Graph",          // graph content fingerprints
+		"itspace.enumerate/v2", // configuration enumeration (degree divides p)
 		"cost.vertex-class/v1", // class-store key schemes
 		"cost.edge-class/v1",
 		"cost.prune-class/v2",

@@ -122,9 +122,6 @@
 // model (pase export-spec -model alexnet -gpus 8), and solves over the wire
 // (POST /v1/solve with {"spec": {...}} in place of {"model": "..."}).
 //
-// Find, FindWithModel, and the one-off baseline helpers from earlier
-// releases remain as thin deprecated wrappers over this request path.
-//
 // See DESIGN.md for the solve-pipeline architecture (enumeration → ordering
 // → cost tables → dynamic program → back-substitution), its parallelism and
 // memory-liveness design, and the serving layer (fingerprinting, cache
@@ -134,7 +131,6 @@ package pase
 import (
 	"context"
 	"io"
-	"time"
 
 	"pase/internal/assign"
 	"pase/internal/canon"
@@ -276,19 +272,16 @@ func ValidateMethod(method string) error { return planner.ValidateMethod(method)
 // fingerprints, singleflight deduplication of concurrent identical requests,
 // batch fan-out across a worker pool, a cross-request class store (class-level
 // cost tables built once ever per planner, shared across distinct graphs and
-// sweep points), and incremental delta re-solve (a request differing from a
-// retained solve by a small delta re-fills only the affected DP tables). Safe
-// for concurrent use. Graphs handed to a planner must not be mutated
-// afterwards (see Find).
+// sweep points). Safe for concurrent use. Graphs handed to a planner must not
+// be mutated afterwards (see Solve).
 type Planner = planner.Planner
 
-// PlannerConfig sizes a Planner's caches, batch worker pool, cross-request
-// class store (ClassStoreBytes, DisableClassStore), and incremental re-solve
-// cache (DeltaCacheSize, DeltaThreshold).
+// PlannerConfig sizes a Planner's caches, batch worker pool, and
+// cross-request class store (ClassStoreBytes, DisableClassStore).
 type PlannerConfig = planner.Config
 
-// PlannerStats is a snapshot of a Planner's cache, dedup, class-store, and
-// delta re-solve counters.
+// PlannerStats is a snapshot of a Planner's cache, dedup, and class-store
+// counters.
 type PlannerStats = planner.Stats
 
 // SolveRequest is one solve request: graph, machine, options (including the
@@ -318,7 +311,7 @@ type CompareEntry = planner.CompareEntry
 // models, 128 results, GOMAXPROCS batch workers).
 func NewPlanner(cfg PlannerConfig) *Planner { return planner.New(cfg) }
 
-// defaultPlanner serves package-level Solve/Compare/Find calls so that
+// defaultPlanner serves package-level Solve/SolveBatch/Compare calls so that
 // repeated and concurrent identical requests anywhere in a process are
 // cached and deduplicated without any setup.
 var defaultPlanner = planner.New(planner.Config{})
@@ -416,79 +409,15 @@ func Compare(ctx context.Context, req CompareRequest) (*Comparison, error) {
 	return defaultPlanner.Compare(ctx, req)
 }
 
-// Find runs the paper's FINDBESTSTRATEGY on the graph for the machine,
-// returning the minimum-cost strategy under the analytic cost model.
-//
-// Deprecated: Find is the pre-context entry point, kept as a thin wrapper
-// over Solve with a background context. Use Solve so the request can be
-// cancelled and can select a Method.
-func Find(g *Graph, spec Machine, opts Options) (*Result, error) {
-	return defaultPlanner.Solve(context.Background(), SolveRequest{G: g, Spec: spec, Opts: opts})
-}
-
-// FindWithModel is Solve over a prebuilt model (reuse the model to amortize
-// cost-table construction across calls). It routes through the unified
-// request path — Method dispatch and cancellation included — but bypasses
-// the planner's caches, singleflight, and fingerprinting: the planner cannot
-// vouch for a model it did not build, so Result.Cached and
-// Result.Fingerprint are always zero on this path, by contract. SearchTime
-// covers the search only; ModelTime is zero because this call built no
-// model.
-//
-// Deprecated: use Solve with SolveRequest.Model, which is this call with a
-// caller-supplied context.
-func FindWithModel(m *Model, opts Options) (*Result, error) {
-	return defaultPlanner.Solve(context.Background(), SolveRequest{Model: m, Opts: opts})
-}
-
 // DataParallelStrategy returns the standard-practice baseline: every layer's
-// batch dimension split across all devices.
-//
-// Deprecated: use Solve with Options{Method: "dataparallel"}, which returns
-// the same strategy with its cost, cached and deduplicated like any other
-// request — or Compare for the full method comparison.
+// batch dimension split across all devices. Solve with Options{Method:
+// "dataparallel"} returns the same strategy with its cost.
 func DataParallelStrategy(g *Graph, p int) Strategy {
 	return strategies.DataParallel(g, p)
 }
 
-// ExpertStrategy returns the paper's expert-designed baseline for a model
-// family: "cnn" (one weird trick), "rnn" (data+pipeline), or "transformer"
-// (Mesh-TensorFlow hybrid).
-//
-// Deprecated: use Solve with Options{Method: "expert:<family>"}, which
-// returns the same strategy with its cost, cached and deduplicated like any
-// other request — or Compare for the full method comparison.
-func ExpertStrategy(family string, g *Graph, p int) (Strategy, error) {
-	return strategies.Expert(family, g, p)
-}
-
 // MCMCOptions tunes the FlexFlow-style search.
 type MCMCOptions = mcmc.Options
-
-// MCMCSearch runs the FlexFlow-substitute MCMC strategy search from an
-// explicit initial strategy, using the same cost model as the DP.
-//
-// Deprecated: use Solve with Options{Method: "mcmc"} (seed selection via
-// Options.MCMC and Options.MCMCInit), which is cancellable and served
-// through the planner's caches.
-func MCMCSearch(m *Model, init Strategy, opts MCMCOptions) (*Result, error) {
-	start := time.Now()
-	idx, err := m.IdxFromStrategy(init)
-	if err != nil {
-		return nil, err
-	}
-	r, err := mcmc.Search(context.Background(), m, idx, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Strategy:   m.StrategyFromIdx(r.BestIdx),
-		Cost:       r.BestCost,
-		Method:     "mcmc",
-		SearchTime: time.Since(start),
-		States:     int64(r.Iters),
-	}, nil
-}
 
 // StrategyCost evaluates F(G, φ) for any valid strategy under the model.
 func StrategyCost(m *Model, s Strategy) (float64, error) { return m.Eval(s) }

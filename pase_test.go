@@ -1,13 +1,24 @@
 package pase
 
 import (
+	"context"
 	"errors"
 	"testing"
 )
 
+// solve runs one request through the package-default planner.
+func solve(g *Graph, spec Machine, opts Options) (*Result, error) {
+	return Solve(context.Background(), SolveRequest{G: g, Spec: spec, Opts: opts})
+}
+
+// solveModel runs one request over a prebuilt model (caches bypassed).
+func solveModel(m *Model, opts Options) (*Result, error) {
+	return Solve(context.Background(), SolveRequest{Model: m, Opts: opts})
+}
+
 func TestFindOnAlexNet(t *testing.T) {
 	g := AlexNet(128)
-	res, err := Find(g, GTX1080Ti(8), Options{})
+	res, err := solve(g, GTX1080Ti(8), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +41,7 @@ func TestFindBeatsBaselinesOnEveryBenchmark(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", bm.Name, err)
 		}
-		res, err := FindWithModel(m, Options{Policy: bm.Policy(p)})
+		res, err := solveModel(m, Options{Policy: bm.Policy(p)})
 		if err != nil {
 			t.Fatalf("%s: %v", bm.Name, err)
 		}
@@ -41,11 +52,11 @@ func TestFindBeatsBaselinesOnEveryBenchmark(t *testing.T) {
 		if res.Cost >= dpCost {
 			t.Fatalf("%s: PaSE %.3e not below data parallelism %.3e", bm.Name, res.Cost, dpCost)
 		}
-		exp, err := ExpertStrategy(bm.Family, g, p)
+		exp, err := solveModel(m, Options{Method: "expert:" + bm.Family})
 		if err != nil {
 			t.Fatalf("%s: %v", bm.Name, err)
 		}
-		expCost, err := StrategyCost(m, exp)
+		expCost, err := StrategyCost(m, exp.Strategy)
 		if err != nil {
 			t.Fatalf("%s: %v", bm.Name, err)
 		}
@@ -58,7 +69,7 @@ func TestFindBeatsBaselinesOnEveryBenchmark(t *testing.T) {
 func TestBreadthFirstOOMsOnInception(t *testing.T) {
 	// Paper Table I: BF ordering runs out of memory on InceptionV3.
 	g := InceptionV3(128)
-	_, err := Find(g, GTX1080Ti(8), Options{BreadthFirst: true})
+	_, err := solve(g, GTX1080Ti(8), Options{BreadthFirst: true})
 	if !errors.Is(err, ErrOOM) {
 		t.Fatalf("want ErrOOM, got %v", err)
 	}
@@ -67,11 +78,11 @@ func TestBreadthFirstOOMsOnInception(t *testing.T) {
 func TestBreadthFirstMatchesOnAlexNet(t *testing.T) {
 	// Paper Table I: on path graphs both orderings find the optimum.
 	g := AlexNet(128)
-	a, err := Find(g, GTX1080Ti(8), Options{})
+	a, err := solve(g, GTX1080Ti(8), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Find(g, GTX1080Ti(8), Options{BreadthFirst: true})
+	b, err := solve(g, GTX1080Ti(8), Options{BreadthFirst: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,22 +97,22 @@ func TestMCMCSearchFromExpert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exp, err := ExpertStrategy("cnn", g, 8)
+	exp, err := solveModel(m, Options{Method: "expert:cnn"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	expCost, err := StrategyCost(m, exp)
+	expCost, err := StrategyCost(m, exp.Strategy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MCMCSearch(m, exp, MCMCOptions{Seed: 1, MaxIters: 30000})
+	res, err := solveModel(m, Options{Method: "mcmc", MCMC: MCMCOptions{Seed: 1, MaxIters: 30000}, MCMCInit: "expert:cnn"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Cost > expCost {
 		t.Fatalf("MCMC worsened its initial candidate: %v > %v", res.Cost, expCost)
 	}
-	best, err := FindWithModel(m, Options{})
+	best, err := solveModel(m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +123,7 @@ func TestMCMCSearchFromExpert(t *testing.T) {
 
 func TestSimulateAndSpeedup(t *testing.T) {
 	g := AlexNet(128)
-	res, err := Find(g, RTX2080Ti(32), Options{})
+	res, err := solve(g, RTX2080Ti(32), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +164,7 @@ func TestOrderingStats(t *testing.T) {
 
 func TestPlannerCacheHitSpeedupOnTransformer(t *testing.T) {
 	// Serving-layer acceptance: a second identical request through
-	// Planner.Find is a cache hit — no new model build or DP run, ≥100×
+	// Planner.Solve is a cache hit — no new model build or DP run, ≥100×
 	// faster than the cold solve, byte-identical in strategy and cost.
 	const p = 32
 	bm, err := BenchmarkByName("transformer")
@@ -164,7 +175,7 @@ func TestPlannerCacheHitSpeedupOnTransformer(t *testing.T) {
 	pl := NewPlanner(PlannerConfig{})
 	opts := Options{Policy: bm.Policy(p)}
 
-	cold, err := pl.Find(g, GTX1080Ti(p), opts)
+	cold, err := pl.Solve(context.Background(), SolveRequest{G: g, Spec: GTX1080Ti(p), Opts: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +183,7 @@ func TestPlannerCacheHitSpeedupOnTransformer(t *testing.T) {
 		t.Fatal("cold solve reported Cached")
 	}
 
-	warm, err := pl.Find(g, GTX1080Ti(p), opts)
+	warm, err := pl.Solve(context.Background(), SolveRequest{G: g, Spec: GTX1080Ti(p), Opts: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +207,7 @@ func TestPlannerCacheHitSpeedupOnTransformer(t *testing.T) {
 	// keep scheduler noise out of the ratio.
 	best := warm.SearchTime
 	for i := 0; i < 4; i++ {
-		r, err := pl.Find(g, GTX1080Ti(p), opts)
+		r, err := pl.Solve(context.Background(), SolveRequest{G: g, Spec: GTX1080Ti(p), Opts: opts})
 		if err != nil {
 			t.Fatal(err)
 		}
