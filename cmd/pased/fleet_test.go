@@ -265,6 +265,26 @@ func TestFleetFallbackWhenOwnerDead(t *testing.T) {
 	if len(peers) != 1 || peers[0].(map[string]any)["breaker"] != "open" {
 		t.Fatalf("readyz peers %v, want the dead member's open breaker visible", rz["peers"])
 	}
+
+	// A batch item the dead member owns takes the same fallback.
+	status, out = postJSON(t, a.ts.URL+"/v1/batch", fmt.Sprintf(`{"requests":[%s]}`, body))
+	if status != http.StatusOK {
+		t.Fatalf("batch during outage: %d %v", status, out)
+	}
+	results, _ := out["results"].([]any)
+	if len(results) != 1 {
+		t.Fatalf("batch results %v, want 1 entry", out["results"])
+	}
+	entry := results[0].(map[string]any)
+	if entry["fleet_fallback"] != true || entry["fleet_owner"] != dead || entry["strategy"] == nil {
+		t.Fatalf("batch entry: fallback=%v owner=%v, want a solved true/%s", entry["fleet_fallback"], entry["fleet_owner"], dead)
+	}
+	if entry["cached"] == true {
+		t.Fatal("batch fallback entry was served from a cache")
+	}
+	if s := a.pl.Stats(); s.FleetFallbacks != 3 {
+		t.Fatalf("planner fleet fallbacks = %d, want 3 (two solves and one batch item)", s.FleetFallbacks)
+	}
 }
 
 // TestFleetBatchForwarding: a mixed-ownership batch fans out — peer-owned

@@ -1,8 +1,9 @@
 // Command pased is the PaSE strategy-serving daemon: an HTTP JSON front end
 // over the planner, so a cluster scheduler or training framework can request
 // parallelization strategies on demand. Identical requests are served from
-// the planner's result cache, concurrent identical requests share one solve,
-// and batches fan out across a worker pool sharing cached cost models.
+// the planner's result cache, and concurrent identical requests share one
+// solve. /v1/solve, the internal route and every /v1/batch item take the same
+// decode → lower → route → solve → encode pipeline.
 //
 // Every solve is tied to its request's context: a disconnected client or the
 // -solve-timeout deadline aborts the model build or DP mid-flight within
@@ -60,8 +61,9 @@
 //	                   twins, so they share cache entries, and invalid specs
 //	                   fail as bad_request with a "details" array of
 //	                   path-addressed {path, msg} diagnostics.
-//	POST /v1/batch   — solve many requests concurrently; per-item errors
-//	                   (inline specs accepted per item).
+//	POST /v1/batch   — solve many requests concurrently; each item gets its
+//	                   own entry, an error carrying the same stable code as
+//	                   /v1/solve (inline specs accepted per item).
 //	POST /v1/compare — run every solve method (or an explicit "methods"
 //	                   list) on one model and report each method's cost,
 //	                   simulated step, and speedup over data parallelism —
@@ -108,6 +110,7 @@ import (
 	_ "net/http/pprof" // registered on DefaultServeMux, served only via -debug-addr
 	"os"
 	"os/signal"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -232,16 +235,28 @@ type solveResponse struct {
 	FleetOwner     string `json:"fleet_owner,omitempty"`
 }
 
-type batchRequest struct {
-	Requests []solveRequest `json:"requests"`
+// errorBody is the structured error {"error", "code", "details"}. Codes are
+// stable API: clients branch on them, not on message text. Details carries
+// the path-addressed diagnostics of an invalid inline spec.
+type errorBody struct {
+	Error   string                `json:"error"`
+	Code    string                `json:"code"`
+	Details []pase.SpecDiagnostic `json:"details,omitempty"`
 }
 
+// outcome is what one wire request produced: a response (status 200), or a
+// status with its error body.
+type outcome struct {
+	resp   *solveResponse
+	status int
+	fail   *errorBody
+}
+
+// batchEntry is one item's outcome: the response's fields on success, the
+// error body's on failure.
 type batchEntry struct {
 	*solveResponse
-	Error string `json:"error,omitempty"`
-	// Details carries the path-addressed diagnostics when Error reports an
-	// invalid inline spec.
-	Details []pase.SpecDiagnostic `json:"details,omitempty"`
+	*errorBody
 }
 
 type batchResponse struct {
@@ -373,36 +388,58 @@ func solveStatus(err error) (status int, code string) {
 	return http.StatusInternalServerError, "internal"
 }
 
-// writeError writes the structured error body {"error": ..., "code": ...}.
-// Codes are stable API: clients branch on them, not on message text. A shed
-// response carries a Retry-After hint — the queue bound means the backlog
-// clears within a few solves.
-func writeError(w http.ResponseWriter, status int, code string, err error) {
-	if status == http.StatusTooManyRequests {
-		w.Header().Set("Retry-After", "1")
-	}
-	writeJSON(w, status, map[string]string{"error": err.Error(), "code": code})
-}
-
-func writeSolveError(w http.ResponseWriter, err error) {
-	status, code := solveStatus(err)
-	writeError(w, status, code, err)
-}
-
-// writeBadRequest writes a 400 body; an invalid inline spec additionally
-// carries its path-addressed diagnostics as a structured "details" array, so
-// clients can surface every problem without parsing the message text.
-func writeBadRequest(w http.ResponseWriter, err error) {
+// failure builds an error outcome; an invalid inline spec additionally
+// carries its diagnostics as the "details" array, so clients can surface
+// every problem without parsing the message text.
+func failure(status int, code string, err error) outcome {
+	fail := &errorBody{Error: err.Error(), Code: code}
 	var se *pase.SpecError
 	if errors.As(err, &se) {
-		writeJSON(w, http.StatusBadRequest, map[string]any{
-			"error":   err.Error(),
-			"code":    "bad_request",
-			"details": se.Diags,
-		})
+		fail.Details = se.Diags
+	}
+	return outcome{status: status, fail: fail}
+}
+
+func badRequest(err error) outcome {
+	return failure(http.StatusBadRequest, "bad_request", err)
+}
+
+func solveFailure(err error) outcome {
+	status, code := solveStatus(err)
+	return failure(status, code, err)
+}
+
+// writeOutcome writes a response or an error body. A shed response carries
+// a Retry-After hint — the queue bound means the backlog clears within a few
+// solves.
+func writeOutcome(w http.ResponseWriter, o outcome) {
+	if o.fail == nil {
+		writeJSON(w, http.StatusOK, o.resp)
 		return
 	}
-	writeError(w, http.StatusBadRequest, "bad_request", err)
+	if o.status == http.StatusTooManyRequests {
+		w.Header().Set("Retry-After", "1")
+	}
+	writeJSON(w, o.status, o.fail)
+}
+
+// readBody reads a POST body whole, bounded by maxBodyBytes: the solve
+// pipeline keeps the raw bytes because a fleet forward relays them to the
+// owner, and json.Unmarshal, unlike a stream decoder, rejects trailing data.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
+		return nil, fmt.Errorf("read request: %w", err)
+	}
+	return body, nil
+}
+
+// decode unmarshals one request body into v.
+func decode(body []byte, v any) error {
+	if err := json.Unmarshal(body, v); err != nil {
+		return fmt.Errorf("decode request: %w", err)
+	}
+	return nil
 }
 
 func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -462,7 +499,8 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 }
 
 // toRequest validates and lowers a wire request onto the planner's Request,
-// returning the benchmark for the export document and the compare defaults.
+// returning the benchmark for the export document and the compare defaults,
+// its Batch resolved to the mini-batch size the graph was built at.
 func (s *server) toRequest(sr solveRequest) (pase.SolveRequest, pase.Benchmark, error) {
 	bm, err := pase.BenchmarkByName(sr.Model)
 	if err != nil {
@@ -474,9 +512,8 @@ func (s *server) toRequest(sr solveRequest) (pase.SolveRequest, pase.Benchmark, 
 	if sr.Priority < -maxPriority || sr.Priority > maxPriority {
 		return pase.SolveRequest{}, pase.Benchmark{}, fmt.Errorf("priority %d out of range [%d, %d]", sr.Priority, -maxPriority, maxPriority)
 	}
-	batch := bm.Batch
 	if sr.Batch > 0 {
-		batch = sr.Batch
+		bm.Batch = sr.Batch
 	}
 	mach := sr.Machine
 	if mach == "" {
@@ -490,7 +527,7 @@ func (s *server) toRequest(sr solveRequest) (pase.SolveRequest, pase.Benchmark, 
 	if err := applyOptions(&opts, sr.Options); err != nil {
 		return pase.SolveRequest{}, pase.Benchmark{}, err
 	}
-	return pase.SolveRequest{G: bm.Build(batch), Spec: spec, Opts: opts}, bm, nil
+	return pase.SolveRequest{G: bm.Build(bm.Batch), Spec: spec, Opts: opts}, bm, nil
 }
 
 // applyOptions validates the wire options and lowers them onto opts — shared
@@ -651,7 +688,7 @@ const (
 )
 
 func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	s.serveSolve(w, r, false)
+	s.serve(w, r, false)
 }
 
 // handleInternalSolve serves fleet-forwarded solves. It is identical to
@@ -659,27 +696,35 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 // here even if this daemon's ring disagrees about ownership, which is what
 // makes forwarding loop-free under inconsistent member views.
 func (s *server) handleInternalSolve(w http.ResponseWriter, r *http.Request) {
-	s.serveSolve(w, r, true)
+	s.serve(w, r, true)
 }
 
-func (s *server) serveSolve(w http.ResponseWriter, r *http.Request, internal bool) {
+func (s *server) serve(w http.ResponseWriter, r *http.Request, internal bool) {
 	s.served.Add(1)
-	// The raw body is read up front (rather than stream-decoded) because a
-	// fleet forward relays these exact bytes to the owner.
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	body, err := readBody(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", fmt.Errorf("read request: %w", err))
+		writeOutcome(w, badRequest(err))
 		return
 	}
+	ctx, cancel := s.solveCtx(r)
+	defer cancel()
+	writeOutcome(w, s.solve(ctx, body, internal))
+}
+
+// solve is the pipeline every solve route shares, run over the raw bytes of
+// one wire request: decode, lower (registry model or inline spec), route
+// through the fleet unless internal, solve locally when no owner answered,
+// and lift the result into the wire form.
+func (s *server) solve(ctx context.Context, body []byte, internal bool) outcome {
 	var sr solveRequest
-	if err := json.Unmarshal(body, &sr); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", fmt.Errorf("decode request: %w", err))
-		return
+	if err := decode(body, &sr); err != nil {
+		return badRequest(err)
 	}
 	isSpec := len(sr.Spec) > 0
 	var (
 		req  pase.SolveRequest
 		name string
+		err  error
 	)
 	if isSpec {
 		req, name, err = s.toSpecRequest(sr)
@@ -692,266 +737,131 @@ func (s *server) serveSolve(w http.ResponseWriter, r *http.Request, internal boo
 		if isSpec {
 			s.specErrors.Add(1)
 		}
-		writeBadRequest(w, err)
-		return
+		return badRequest(err)
 	}
-	ctx, cancel := s.solveCtx(r)
-	defer cancel()
-	var fleetOwner string
+	var (
+		o          outcome // status 0 until someone answers
+		fleetOwner string
+	)
 	if s.fleet != nil && !internal {
 		// Route only what this daemon cannot already answer: a local cache
 		// hit or in-flight identical solve is as good as the owner's copy
 		// (results are deterministic), and skipping the hop keeps a degraded
 		// fleet's hit latency flat.
 		if fp, ferr := s.pl.SolveFingerprint(req); ferr == nil && !s.pl.HasLocal(fp) {
-			switch out := s.fleet.Route(ctx, fp, body); out.Decision {
-			case fleet.Forwarded:
-				if s.relayForwarded(w, out, isSpec) {
-					return
+			out := s.fleet.Route(ctx, fp, body)
+			if out.Decision == fleet.Forwarded {
+				// The owner's 200 is relayed marked with the routing, and its
+				// definitive rejection as its error body. An undecodable answer
+				// (version skew, truncation) is solved locally rather than
+				// failed.
+				var (
+					resp solveResponse
+					fail errorBody
+				)
+				switch {
+				case out.Status == http.StatusOK && json.Unmarshal(out.Body, &resp) == nil:
+					resp.FleetForwarded, resp.FleetOwner = true, out.Owner
+					o = outcome{resp: &resp, status: http.StatusOK}
+				case out.Status != http.StatusOK && json.Unmarshal(out.Body, &fail) == nil && fail.Error != "":
+					o = outcome{status: out.Status, fail: &fail}
+				default:
+					log.Printf("pased: fleet: undecodable %d from %s (solving locally)", out.Status, out.Owner)
 				}
-				// The owner answered 200 with an undecodable body (version
-				// skew, truncation): solve locally rather than fail.
-				req.FleetFallback, fleetOwner = true, out.Owner
-			case fleet.Fallback:
+			}
+			if o.status == 0 && out.Decision != fleet.Local {
 				req.FleetFallback, fleetOwner = true, out.Owner
 			}
 		}
 	}
-	res, err := s.pl.Solve(ctx, req)
-	if err != nil {
-		writeSolveError(w, err)
-		return
+	if o.status == 0 {
+		if res, err := s.pl.Solve(ctx, req); err != nil {
+			o = solveFailure(err)
+		} else if resp, err := toResponse(req, name, res); err != nil {
+			o = failure(http.StatusInternalServerError, "internal", err)
+		} else {
+			if resp.FleetFallback {
+				resp.FleetOwner = fleetOwner
+			}
+			o = outcome{resp: resp, status: http.StatusOK}
+		}
 	}
-	if isSpec {
+	if isSpec && o.fail == nil {
 		s.specSolves.Add(1)
 	}
-	resp, err := toResponse(req, name, res)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "internal", err)
-		return
-	}
-	if resp.FleetFallback {
-		resp.FleetOwner = fleetOwner
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// relayForwarded writes the owner's response through to the client, marked
-// with the fleet routing. It returns false only when the owner's 200 body
-// does not decode — the caller then solves locally instead of failing the
-// request. Non-200 answers the fleet client deemed definitive (the owner
-// rejected the request) are relayed verbatim.
-func (s *server) relayForwarded(w http.ResponseWriter, out fleet.Outcome, isSpec bool) bool {
-	if out.Status != http.StatusOK {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(out.Status)
-		w.Write(out.Body)
-		return true
-	}
-	var resp solveResponse
-	if err := json.Unmarshal(out.Body, &resp); err != nil {
-		log.Printf("pased: fleet: undecodable 200 from %s: %v (solving locally)", out.Owner, err)
-		return false
-	}
-	resp.FleetForwarded = true
-	resp.FleetOwner = out.Owner
-	if isSpec {
-		s.specSolves.Add(1)
-	}
-	writeJSON(w, http.StatusOK, resp)
-	return true
+	return o
 }
 
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.served.Add(1)
-	var br batchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&br); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", fmt.Errorf("decode request: %w", err))
-		return
+	var br struct {
+		Requests []json.RawMessage `json:"requests"`
 	}
-	if len(br.Requests) == 0 {
-		writeError(w, http.StatusBadRequest, "bad_request", errors.New("batch has no requests"))
-		return
+	body, err := readBody(w, r)
+	if err == nil {
+		err = decode(body, &br)
 	}
-	entries := make([]batchEntry, len(br.Requests))
-	var reqs []pase.SolveRequest
-	var models []string
-	var specIdx []bool // reqs[k] came in as an inline spec
-	var idx []int      // position of reqs[k] within entries
-	for i, sr := range br.Requests {
-		var (
-			req  pase.SolveRequest
-			name string
-			err  error
-		)
-		isSpec := len(sr.Spec) > 0
-		if isSpec {
-			req, name, err = s.toSpecRequest(sr)
-		} else {
-			var bm pase.Benchmark
-			req, bm, err = s.toRequest(sr)
-			name = bm.Name
-		}
-		if err != nil {
-			if isSpec {
-				s.specErrors.Add(1)
-			}
-			entries[i].Error = err.Error()
-			var se *pase.SpecError
-			if errors.As(err, &se) {
-				entries[i].Details = se.Diags
-			}
-			continue
-		}
-		reqs = append(reqs, req)
-		models = append(models, name)
-		specIdx = append(specIdx, isSpec)
-		idx = append(idx, i)
+	if err == nil && len(br.Requests) == 0 {
+		err = errors.New("batch has no requests")
+	}
+	if err != nil {
+		writeOutcome(w, badRequest(err))
+		return
 	}
 	ctx, cancel := s.solveCtx(r)
 	defer cancel()
-	owners := make([]string, len(reqs))
-	if s.fleet != nil {
-		reqs, models, specIdx, idx, owners = s.forwardBatch(ctx, br, entries, reqs, models, specIdx, idx)
-	}
-	for k, item := range s.pl.SolveBatch(ctx, reqs) {
-		i := idx[k]
-		if item.Err != nil {
-			entries[i].Error = item.Err.Error()
-			continue
-		}
-		if specIdx[k] {
-			s.specSolves.Add(1)
-		}
-		resp, err := toResponse(reqs[k], models[k], item.Result)
-		if err != nil {
-			entries[i].Error = err.Error()
-			continue
-		}
-		if resp.FleetFallback {
-			resp.FleetOwner = owners[k]
-		}
-		entries[i].solveResponse = resp
-	}
-	writeJSON(w, http.StatusOK, batchResponse{Results: entries})
-}
-
-// forwardBatch routes each valid batch item through the fleet: items owned
-// by a reachable peer are forwarded concurrently (each as one internal
-// solve, so the owner's singleflight dedupes them cluster-wide) and their
-// entries filled from the owner's response. Everything else — owned here,
-// already answerable here, or fallback-marked because the owner is
-// unreachable — is returned, slices re-aligned, for the local SolveBatch.
-func (s *server) forwardBatch(ctx context.Context, br batchRequest, entries []batchEntry, reqs []pase.SolveRequest, models []string, specIdx []bool, idx []int) ([]pase.SolveRequest, []string, []bool, []int, []string) {
-	done := make([]bool, len(reqs))
-	owners := make([]string, len(reqs))
+	// Each item runs the solve pipeline on its own bytes, so a forwarded item
+	// relays exactly what the client sent and a malformed item fails alone.
+	entries := make([]batchEntry, len(br.Requests))
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for k := range reqs {
-		fp, err := s.pl.SolveFingerprint(reqs[k])
-		if err != nil || s.pl.HasLocal(fp) {
-			continue
-		}
-		// Re-marshaling the decoded wire item is lossless (Spec is raw JSON,
-		// options ride a pointer), and gives the peer call a body without
-		// the other items.
-		body, err := json.Marshal(br.Requests[idx[k]])
-		if err != nil {
-			continue
-		}
+	for range min(runtime.GOMAXPROCS(0), len(entries)) {
 		wg.Add(1)
-		go func(k int, fp pase.Fingerprint, body []byte) {
+		go func() {
 			defer wg.Done()
-			out := s.fleet.Route(ctx, fp, body)
-			switch out.Decision {
-			case fleet.Forwarded:
-				if out.Status != http.StatusOK {
-					var e struct {
-						Error   string                `json:"error"`
-						Details []pase.SpecDiagnostic `json:"details"`
-					}
-					if json.Unmarshal(out.Body, &e) == nil && e.Error != "" {
-						entries[idx[k]].Error = e.Error
-						entries[idx[k]].Details = e.Details
-						done[k] = true
-						return
-					}
-					owners[k] = out.Owner // undecodable: solve locally
-					return
-				}
-				var resp solveResponse
-				if err := json.Unmarshal(out.Body, &resp); err != nil {
-					owners[k] = out.Owner
-					return
-				}
-				resp.FleetForwarded = true
-				resp.FleetOwner = out.Owner
-				if specIdx[k] {
-					s.specSolves.Add(1)
-				}
-				entries[idx[k]].solveResponse = &resp
-				done[k] = true
-			case fleet.Fallback:
-				owners[k] = out.Owner
+			for i := int(next.Add(1)) - 1; i < len(entries); i = int(next.Add(1)) - 1 {
+				o := s.solve(ctx, br.Requests[i], false)
+				entries[i] = batchEntry{o.resp, o.fail}
 			}
-		}(k, fp, body)
+		}()
 	}
 	wg.Wait()
-	var (
-		restReqs   []pase.SolveRequest
-		restModels []string
-		restSpec   []bool
-		restIdx    []int
-		restOwners []string
-	)
-	for k := range reqs {
-		if done[k] {
-			continue
-		}
-		if owners[k] != "" {
-			reqs[k].FleetFallback = true
-		}
-		restReqs = append(restReqs, reqs[k])
-		restModels = append(restModels, models[k])
-		restSpec = append(restSpec, specIdx[k])
-		restIdx = append(restIdx, idx[k])
-		restOwners = append(restOwners, owners[k])
-	}
-	return restReqs, restModels, restSpec, restIdx, restOwners
+	writeJSON(w, http.StatusOK, batchResponse{Results: entries})
 }
 
 func (s *server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	s.served.Add(1)
 	var cr compareRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&cr); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", fmt.Errorf("decode request: %w", err))
+	body, err := readBody(w, r)
+	if err == nil {
+		err = decode(body, &cr)
+	}
+	if err != nil {
+		writeOutcome(w, badRequest(err))
 		return
 	}
 	if len(cr.Spec) > 0 {
-		writeError(w, http.StatusBadRequest, "bad_request", errors.New(`compare does not accept inline "spec" requests; name a registry "model"`))
+		writeOutcome(w, badRequest(errors.New(`compare does not accept inline "spec" requests; name a registry "model"`)))
 		return
 	}
 	if len(cr.Methods) > maxCompareMethods {
-		writeError(w, http.StatusBadRequest, "bad_request", fmt.Errorf("methods list has %d entries, max %d", len(cr.Methods), maxCompareMethods))
+		writeOutcome(w, badRequest(fmt.Errorf("methods list has %d entries, max %d", len(cr.Methods), maxCompareMethods)))
 		return
 	}
 	for _, m := range cr.Methods {
 		if m == "" {
-			writeError(w, http.StatusBadRequest, "bad_request", errors.New(`empty method in "methods" (use "dp")`))
+			writeOutcome(w, badRequest(errors.New(`empty method in "methods" (use "dp")`)))
 			return
 		}
 		if err := pase.ValidateMethod(m); err != nil {
-			writeError(w, http.StatusBadRequest, "bad_request", err)
+			writeOutcome(w, badRequest(err))
 			return
 		}
 	}
 	req, bm, err := s.toRequest(cr.solveRequest)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", err)
+		writeOutcome(w, badRequest(err))
 		return
-	}
-	batch := bm.Batch
-	if cr.Batch > 0 {
-		batch = cr.Batch
 	}
 	ctx, cancel := s.solveCtx(r)
 	defer cancel()
@@ -959,12 +869,12 @@ func (s *server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		G:       req.G,
 		Spec:    req.Spec,
 		Opts:    req.Opts,
-		Batch:   batch,
+		Batch:   bm.Batch,
 		Family:  bm.Family,
 		Methods: cr.Methods,
 	})
 	if err != nil {
-		writeSolveError(w, err)
+		writeOutcome(w, solveFailure(err))
 		return
 	}
 	resp := compareResponse{Model: bm.Name, Devices: req.Spec.Devices, Baseline: cmp.Baseline}
@@ -1012,7 +922,6 @@ func main() {
 		addr         = flag.String("addr", ":8555", "listen address")
 		modelCache   = flag.Int("model-cache", 16, "cost-model LRU capacity")
 		resultCache  = flag.Int("result-cache", 256, "solved-result LRU capacity")
-		workers      = flag.Int("batch-workers", 0, "batch fan-out workers (0 = GOMAXPROCS)")
 		maxGPUs      = flag.Int("max-gpus", 128, "largest accepted device count (cost-model tables grow with p; raise deliberately)")
 		pruneEps     = flag.Float64("prune-epsilon", 0, "default epsilon-dominance config pruning for requests that leave it unset (0 = exact dedup only)")
 		storeBytes   = flag.Int64("class-store-bytes", 0, "cross-request class store budget in bytes (0 = default 256 MiB)")
@@ -1078,7 +987,6 @@ func main() {
 	pl := pase.NewPlanner(pase.PlannerConfig{
 		ModelCacheSize:      *modelCache,
 		ResultCacheSize:     *resultCache,
-		BatchWorkers:        *workers,
 		DefaultPruneEpsilon: *pruneEps,
 		ClassStoreBytes:     *storeBytes,
 		DisableClassStore:   *noStore,

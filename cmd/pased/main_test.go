@@ -170,9 +170,42 @@ func TestBatchMixedValidAndInvalid(t *testing.T) {
 	if bad["error"] == nil || !strings.Contains(bad["error"].(string), "nope") {
 		t.Fatalf("entry 1 should carry its own error: %v", bad)
 	}
+	if bad["code"] != "bad_request" {
+		t.Fatalf("entry 1 code %v, want %q", bad["code"], "bad_request")
+	}
 	third := results[2].(map[string]any)
 	if third["strategy"] == nil {
 		t.Fatalf("entry 2 should have solved: %v", third)
+	}
+	if first["code"] != nil || third["code"] != nil {
+		t.Fatalf("solved entries carry a code: %v / %v", first["code"], third["code"])
+	}
+
+	// Solve failures carry the single route's stable code too.
+	status, out = postJSON(t, ts.URL+"/v1/batch",
+		`{"requests":[{"model":"inceptionv3","gpus":8,"options":{"breadth_first":true}}]}`)
+	if status != http.StatusOK {
+		t.Fatalf("batch status %d: %v", status, out)
+	}
+	oom := out["results"].([]any)[0].(map[string]any)
+	if oom["code"] != "oom" || oom["error"] == nil {
+		t.Fatalf("BF InceptionV3 entry %v, want code %q", oom, "oom")
+	}
+}
+
+// TestTrailingBytesRejected: every POST route decodes its body the same way,
+// so a valid body followed by stray bytes is a 400 everywhere.
+func TestTrailingBytesRejected(t *testing.T) {
+	ts := newTestServer(t)
+	for route, body := range map[string]string{
+		"/v1/solve":   `{"model":"alexnet","gpus":8}`,
+		"/v1/batch":   `{"requests":[{"model":"alexnet","gpus":8}]}`,
+		"/v1/compare": `{"model":"alexnet","gpus":8,"methods":["dataparallel"]}`,
+	} {
+		status, out := postJSON(t, ts.URL+route, body+" x")
+		if status != http.StatusBadRequest || out["code"] != "bad_request" {
+			t.Errorf("%s with trailing bytes: status %d body %v, want 400 bad_request", route, status, out)
+		}
 	}
 }
 

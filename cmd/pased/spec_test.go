@@ -172,6 +172,32 @@ func TestBatchInlineSpec(t *testing.T) {
 	if !ok || len(details) == 0 {
 		t.Fatalf("broken batch item carries no details: %v", third)
 	}
+	if third["code"] != "bad_request" {
+		t.Fatalf("broken item code %v, want %q", third["code"], "bad_request")
+	}
+
+	// An item whose JSON types are wrong fails alone; its siblings solve.
+	status, out = postJSON(t, ts.URL+"/v1/batch", fmt.Sprintf(`{"requests": [
+		{"spec": %s},
+		{"model": "alexnet", "gpus": "x"},
+		{"model": "alexnet", "gpus": 4}
+	]}`, tinySpec))
+	if status != http.StatusOK {
+		t.Fatalf("batch with a mistyped item: status %d: %v", status, out)
+	}
+	results, ok = out["results"].([]any)
+	if !ok || len(results) != 3 {
+		t.Fatalf("batch results: %v", out)
+	}
+	for _, i := range []int{0, 2} {
+		if e := results[i].(map[string]any); e["error"] != nil || e["strategy"] == nil {
+			t.Fatalf("sibling %d of a mistyped item failed: %v", i, e)
+		}
+	}
+	mistyped := results[1].(map[string]any)
+	if mistyped["code"] != "bad_request" || mistyped["error"] == nil || mistyped["strategy"] != nil {
+		t.Fatalf("mistyped item %v, want its own bad_request entry", mistyped)
+	}
 }
 
 func TestCompareRejectsInlineSpec(t *testing.T) {
